@@ -8,19 +8,26 @@
 //! range through `Read`/`Seek` without touching the rest of the file:
 //!
 //! ```text
-//! header     "SPDC" | schema version | n_events | benchmark names | hash
+//! header     "SPDC" | format | schema version | n_events | benchmark names | hash
 //! bodies     chunk 0 | chunk 1 | ...          (each ends in its own hash)
 //! directory  n_chunks | (offset, len, rows, hash)* | hash
 //! footer     dir_offset | total_rows | "CDPS" | schema version
 //! ```
 //!
+//! The header opens like every container in this crate: magic,
+//! container format ([`crate::codec::CONTAINER_FORMAT`]), schema
+//! version. [`ChunkedReader::open`] checks the magic and the format
+//! first, so a container written in an older layout is refused as
+//! [`CodecError::StaleFormat`] before any hash is computed.
+//!
 //! Each chunk body is a self-contained columnar block (`rows`, labels,
-//! CPI bits, event columns, FNV-1a hash). The directory duplicates each
-//! body's hash so a reader can verify a chunk without trusting the body
-//! bytes, and the fixed-size footer lets `open` find the directory with
-//! two seeks. Every region — header, each body, directory — carries its
-//! own integrity hash: a bit flip or truncation anywhere is a typed
-//! [`CodecError`], never a silent bad read.
+//! CPI bits, event columns, integrity hash). The directory duplicates
+//! each body's hash so a reader can verify a chunk without trusting the
+//! body bytes, and the fixed-size footer lets `open` find the directory
+//! with two seeks. Every region — header, each body, directory — ends
+//! in the crate's one integrity hash (the word-wise hash documented in
+//! [`crate::codec`]): a bit flip anywhere is a typed [`CodecError`],
+//! never a silent bad read, and so is a truncation.
 //!
 //! Writers append chunks as they are sealed (constant memory), then
 //! write the directory last. [`ChunkedWriter::append_chunk`] verifies
@@ -28,7 +35,12 @@
 //! fault harness, or a real torn write) is detected and rewritten in
 //! place before the directory ever references it.
 
-use crate::codec::CodecError;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::codec::{
+    check_header, integrity_hash, put_header, put_words, seal, verify_sealed, CodecError, Reader,
+    HEADER_LEN, ROW_BYTES,
+};
 use crate::fingerprint::{Fingerprint, FingerprintHasher, SCHEMA_VERSION};
 use modeltree::CompiledTree;
 use perfcounters::events::N_EVENTS;
@@ -40,19 +52,16 @@ const CHUNKED_MAGIC: &[u8; 4] = b"SPDC";
 const FOOTER_MAGIC: &[u8; 4] = b"CDPS";
 /// `dir_offset u64 | total_rows u64 | magic | version u32`.
 const FOOTER_LEN: u64 = 8 + 8 + 4 + 4;
-/// Bytes one row occupies inside a chunk body (label + CPI + events).
-const ROW_BYTES: usize = 4 + 8 + 8 * N_EVENTS;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn io_err(e: std::io::Error) -> CodecError {
     CodecError::Malformed(format!("container io: {e}"))
+}
+
+/// Reads exactly `N` bytes from the current position.
+fn read_array<const N: usize>(src: &mut impl Read) -> Result<[u8; N], CodecError> {
+    let mut out = [0u8; N];
+    src.read_exact(&mut out).map_err(io_err)?;
+    Ok(out)
 }
 
 /// Directory entry for one sealed chunk.
@@ -64,7 +73,7 @@ pub struct ChunkMeta {
     pub len: u64,
     /// Rows in the chunk.
     pub rows: u64,
-    /// The body's trailing FNV-1a hash, duplicated for verification.
+    /// The body's trailing integrity hash, duplicated for verification.
     pub hash: u64,
 }
 
@@ -138,18 +147,29 @@ pub fn encode_chunk(labels: &[u32], cpi: &[f64], events: &[f64]) -> Vec<u8> {
     assert_eq!(events.len(), N_EVENTS * rows, "event column length");
     let mut out = Vec::with_capacity(4 + rows * ROW_BYTES + 8);
     out.extend_from_slice(&(rows as u32).to_le_bytes());
-    for &l in labels {
-        out.extend_from_slice(&l.to_le_bytes());
+    put_words(&mut out, labels.iter().map(|l| l.to_le_bytes()));
+    put_words(&mut out, cpi.iter().map(|v| v.to_le_bytes()));
+    put_words(&mut out, events.iter().map(|v| v.to_le_bytes()));
+    seal(out)
+}
+
+/// Verifies one chunk body's hash and length, returning its row count,
+/// its column region (labels, CPI, events) and its hash.
+fn verify_chunk(bytes: &[u8]) -> Result<(usize, &[u8], u64), CodecError> {
+    if bytes.len() < 4 + 8 {
+        return Err(CodecError::Truncated);
     }
-    for &v in cpi {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    let (body, hash) = verify_sealed(bytes)?;
+    let mut r = Reader::new(body);
+    let rows = r.u32()? as usize;
+    let columns = r.rest();
+    if rows.checked_mul(ROW_BYTES) != Some(columns.len()) {
+        return Err(CodecError::Malformed(format!(
+            "{} body bytes for {rows} rows (expected {ROW_BYTES} per row)",
+            body.len()
+        )));
     }
-    for &v in events {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    let hash = fnv1a(&out);
-    out.extend_from_slice(&hash.to_le_bytes());
-    out
+    Ok((rows, columns, hash))
 }
 
 /// Decodes and verifies one chunk body.
@@ -159,41 +179,24 @@ pub fn encode_chunk(labels: &[u32], cpi: &[f64], events: &[f64]) -> Vec<u8> {
 /// Returns a typed [`CodecError`] on truncation, length mismatch, or
 /// integrity-hash mismatch.
 pub fn decode_chunk(bytes: &[u8]) -> Result<DecodedChunk, CodecError> {
-    if bytes.len() < 4 + 8 {
-        return Err(CodecError::Truncated);
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(CodecError::IntegrityMismatch);
-    }
-    let rows = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
-    if body.len() != 4 + rows * ROW_BYTES {
-        return Err(CodecError::Malformed(format!(
-            "{} body bytes for {rows} rows (expected {})",
-            body.len(),
-            4 + rows * ROW_BYTES
-        )));
-    }
-    let mut pos = 4;
-    let mut labels = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        labels.push(u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()));
-        pos += 4;
-    }
-    let read_f64 = |pos: &mut usize| {
-        let v = f64::from_bits(u64::from_le_bytes(body[*pos..*pos + 8].try_into().unwrap()));
-        *pos += 8;
-        v
+    let (rows, columns, _) = verify_chunk(bytes)?;
+    let mut r = Reader::new(columns);
+    let labels = r
+        .take(4 * rows)?
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|w| u32::from_le_bytes(*w))
+        .collect();
+    let f64s = |b: &[u8]| {
+        b.as_chunks::<8>()
+            .0
+            .iter()
+            .map(|w| f64::from_le_bytes(*w))
+            .collect()
     };
-    let mut cpi = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        cpi.push(read_f64(&mut pos));
-    }
-    let mut events = Vec::with_capacity(N_EVENTS * rows);
-    for _ in 0..N_EVENTS * rows {
-        events.push(read_f64(&mut pos));
-    }
+    let cpi = f64s(r.take(8 * rows)?);
+    let events = f64s(r.rest());
     Ok(DecodedChunk {
         labels,
         cpi,
@@ -203,17 +206,14 @@ pub fn decode_chunk(bytes: &[u8]) -> Result<DecodedChunk, CodecError> {
 
 fn encode_header(benchmarks: &[String]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(CHUNKED_MAGIC);
-    out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    put_header(&mut out, CHUNKED_MAGIC);
     out.extend_from_slice(&(N_EVENTS as u32).to_le_bytes());
     out.extend_from_slice(&(benchmarks.len() as u32).to_le_bytes());
     for name in benchmarks {
         out.extend_from_slice(&(name.len() as u32).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
-    let hash = fnv1a(&out);
-    out.extend_from_slice(&hash.to_le_bytes());
-    out
+    seal(out)
 }
 
 /// Incremental `SPDC` writer: header up front, chunk bodies as they
@@ -287,17 +287,16 @@ impl<W: Read + Write + Seek> ChunkedWriter<W> {
                 ));
             }
         }
-        let rows = decode_chunk(body)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?
-            .rows() as u64;
+        let (rows, _, hash) = verify_chunk(body)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let meta = ChunkMeta {
             offset,
             len: body.len() as u64,
-            rows,
-            hash: u64::from_le_bytes(body[body.len() - 8..].try_into().unwrap()),
+            rows: rows as u64,
+            hash,
         };
         self.cursor = offset + body.len() as u64;
-        self.total_rows += rows;
+        self.total_rows += meta.rows;
         self.chunks.push(meta);
         Ok(meta)
     }
@@ -339,8 +338,7 @@ impl<W: Read + Write + Seek> ChunkedWriter<W> {
             dir.extend_from_slice(&c.rows.to_le_bytes());
             dir.extend_from_slice(&c.hash.to_le_bytes());
         }
-        let hash = fnv1a(&dir);
-        dir.extend_from_slice(&hash.to_le_bytes());
+        let dir = seal(dir);
         self.dst.seek(SeekFrom::Start(dir_offset))?;
         self.dst.write_all(&dir)?;
         self.dst.write_all(&dir_offset.to_le_bytes())?;
@@ -366,49 +364,57 @@ pub struct ChunkedReader<R: Read + Seek> {
 }
 
 impl<R: Read + Seek> ChunkedReader<R> {
-    /// Opens a container: validates footer, directory, and header
-    /// framing (schema version, integrity hashes, offset sanity).
+    /// Opens a container: validates the header's magic and format
+    /// marker, then the footer, directory, and the rest of the header
+    /// (schema version, integrity hashes, offset sanity).
     ///
     /// # Errors
     ///
     /// Returns a typed [`CodecError`] for any framing defect — stale
-    /// schema version, truncated directory, hash mismatch.
+    /// container format or schema version, truncated directory, hash
+    /// mismatch.
     pub fn open(mut src: R) -> Result<Self, CodecError> {
         let file_len = src.seek(SeekFrom::End(0)).map_err(io_err)?;
-        if file_len < FOOTER_LEN {
+        if file_len < HEADER_LEN as u64 + FOOTER_LEN {
             return Err(CodecError::Truncated);
         }
-        src.seek(SeekFrom::Start(file_len - FOOTER_LEN))
-            .map_err(io_err)?;
-        let mut footer = [0u8; FOOTER_LEN as usize];
-        src.read_exact(&mut footer).map_err(io_err)?;
-        if &footer[16..20] != FOOTER_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = u32::from_le_bytes(footer[20..24].try_into().unwrap());
+        // The format marker comes first: a container in an older
+        // layout is stale, whatever its hashes say.
+        src.seek(SeekFrom::Start(0)).map_err(io_err)?;
+        let prefix: [u8; HEADER_LEN] = read_array(&mut src)?;
+        let version = check_header(&prefix, CHUNKED_MAGIC)?;
         if version != SCHEMA_VERSION {
             return Err(CodecError::WrongVersion(version));
         }
-        let dir_offset = u64::from_le_bytes(footer[..8].try_into().unwrap());
-        let total_rows = u64::from_le_bytes(footer[8..16].try_into().unwrap());
+
+        src.seek(SeekFrom::Start(file_len - FOOTER_LEN))
+            .map_err(io_err)?;
+        let footer: [u8; FOOTER_LEN as usize] = read_array(&mut src)?;
+        let mut f = Reader::new(&footer);
+        let dir_offset = f.u64()?;
+        let total_rows = f.u64()?;
+        if &f.array::<4>()? != FOOTER_MAGIC {
+            return Err(CodecError::BadMagic);
+        }
+        let version = f.u32()?;
+        if version != SCHEMA_VERSION {
+            return Err(CodecError::WrongVersion(version));
+        }
         if dir_offset > file_len - FOOTER_LEN {
             return Err(CodecError::Truncated);
         }
         // Directory: everything between dir_offset and the footer.
         let dir_len = (file_len - FOOTER_LEN - dir_offset) as usize;
-        src.seek(SeekFrom::Start(dir_offset)).map_err(io_err)?;
-        let mut dir = vec![0u8; dir_len];
-        src.read_exact(&mut dir).map_err(io_err)?;
         if dir_len < 8 + 8 {
             return Err(CodecError::Truncated);
         }
-        let body = &dir[..dir_len - 8];
-        let stored = u64::from_le_bytes(dir[dir_len - 8..].try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(CodecError::IntegrityMismatch);
-        }
-        let n_chunks = u64::from_le_bytes(body[..8].try_into().unwrap()) as usize;
-        if body.len() != 8 + n_chunks * 32 {
+        src.seek(SeekFrom::Start(dir_offset)).map_err(io_err)?;
+        let mut dir = vec![0u8; dir_len];
+        src.read_exact(&mut dir).map_err(io_err)?;
+        let (body, _) = verify_sealed(&dir)?;
+        let mut d = Reader::new(body);
+        let n_chunks = d.u64()? as usize;
+        if n_chunks.checked_mul(32) != Some(d.rest().len()) {
             return Err(CodecError::Malformed(format!(
                 "directory holds {} bytes for {n_chunks} chunks",
                 body.len()
@@ -418,22 +424,23 @@ impl<R: Read + Seek> ChunkedReader<R> {
         let mut row_starts = Vec::with_capacity(n_chunks + 1);
         let mut rows_so_far = 0u64;
         for i in 0..n_chunks {
-            let e = &body[8 + i * 32..8 + (i + 1) * 32];
             let meta = ChunkMeta {
-                offset: u64::from_le_bytes(e[..8].try_into().unwrap()),
-                len: u64::from_le_bytes(e[8..16].try_into().unwrap()),
-                rows: u64::from_le_bytes(e[16..24].try_into().unwrap()),
-                hash: u64::from_le_bytes(e[24..32].try_into().unwrap()),
+                offset: d.u64()?,
+                len: d.u64()?,
+                rows: d.u64()?,
+                hash: d.u64()?,
             };
-            if meta.offset.saturating_add(meta.len) > dir_offset {
+            let end = meta.offset.saturating_add(meta.len);
+            if end > dir_offset {
                 return Err(CodecError::Malformed(format!(
-                    "chunk {i} region [{}, {}) overlaps the directory",
-                    meta.offset,
-                    meta.offset + meta.len
+                    "chunk {i} region [{}, {end}) overlaps the directory",
+                    meta.offset
                 )));
             }
             row_starts.push(rows_so_far);
-            rows_so_far += meta.rows;
+            rows_so_far = rows_so_far
+                .checked_add(meta.rows)
+                .ok_or_else(|| CodecError::Malformed("directory row count overflows".into()))?;
             chunks.push(meta);
         }
         row_starts.push(rows_so_far);
@@ -442,49 +449,37 @@ impl<R: Read + Seek> ChunkedReader<R> {
                 "directory rows {rows_so_far} != footer rows {total_rows}"
             )));
         }
-        // Header.
-        src.seek(SeekFrom::Start(0)).map_err(io_err)?;
-        let mut magic = [0u8; 4];
-        src.read_exact(&mut magic).map_err(io_err)?;
-        if &magic != CHUNKED_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let mut u32buf = [0u8; 4];
-        let mut read_u32 = |src: &mut R| -> Result<u32, CodecError> {
-            src.read_exact(&mut u32buf).map_err(io_err)?;
-            Ok(u32::from_le_bytes(u32buf))
+        // The rest of the header, re-assembled for its hash.
+        src.seek(SeekFrom::Start(HEADER_LEN as u64))
+            .map_err(io_err)?;
+        let mut header = prefix.to_vec();
+        let read_u32 = |src: &mut R, header: &mut Vec<u8>| -> Result<u32, CodecError> {
+            let word: [u8; 4] = read_array(src)?;
+            header.extend_from_slice(&word);
+            Ok(u32::from_le_bytes(word))
         };
-        let version = read_u32(&mut src)?;
-        if version != SCHEMA_VERSION {
-            return Err(CodecError::WrongVersion(version));
-        }
-        let n_events = read_u32(&mut src)? as usize;
+        let n_events = read_u32(&mut src, &mut header)? as usize;
         if n_events != N_EVENTS {
             return Err(CodecError::Malformed(format!(
                 "{n_events} event columns (expected {N_EVENTS})"
             )));
         }
-        let n_benchmarks = read_u32(&mut src)? as usize;
-        let mut header = encode_header(&[]);
-        header.truncate(16); // magic + version + n_events + n_benchmarks
-        header[12..16].copy_from_slice(&(n_benchmarks as u32).to_le_bytes());
+        let n_benchmarks = read_u32(&mut src, &mut header)? as usize;
         let mut benchmarks = Vec::with_capacity(n_benchmarks.min(1024));
         for _ in 0..n_benchmarks {
-            let len = read_u32(&mut src)? as usize;
+            let len = read_u32(&mut src, &mut header)? as usize;
             if len > dir_offset as usize {
                 return Err(CodecError::Truncated);
             }
             let mut raw = vec![0u8; len];
             src.read_exact(&mut raw).map_err(io_err)?;
-            header.extend_from_slice(&(len as u32).to_le_bytes());
             header.extend_from_slice(&raw);
             let name = String::from_utf8(raw)
                 .map_err(|e| CodecError::Malformed(format!("benchmark name: {e}")))?;
             benchmarks.push(name);
         }
-        let mut stored = [0u8; 8];
-        src.read_exact(&mut stored).map_err(io_err)?;
-        if fnv1a(&header) != u64::from_le_bytes(stored) {
+        let stored: [u8; 8] = read_array(&mut src)?;
+        if integrity_hash(&header) != u64::from_le_bytes(stored) {
             return Err(CodecError::IntegrityMismatch);
         }
         Ok(ChunkedReader {
@@ -541,7 +536,7 @@ impl<R: Read + Seek> ChunkedReader<R> {
             .get(i)
             .ok_or_else(|| CodecError::Malformed(format!("chunk {i} out of range")))?;
         let bytes = self.read_chunk_bytes(meta)?;
-        if u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap()) != meta.hash {
+        if bytes.last_chunk::<8>().map(|h| u64::from_le_bytes(*h)) != Some(meta.hash) {
             return Err(CodecError::IntegrityMismatch);
         }
         let chunk = decode_chunk(&bytes)?;
@@ -677,11 +672,8 @@ impl<R: Read + Write + Seek> ChunkedReader<R> {
             .chunks
             .get(i)
             .ok_or_else(|| CodecError::Malformed(format!("chunk {i} out of range")))?;
-        if body.len() as u64 != meta.len
-            || body.len() < 12
-            || u64::from_le_bytes(body[body.len() - 8..].try_into().unwrap()) != meta.hash
-            || fnv1a(&body[..body.len() - 8]) != meta.hash
-        {
+        let matches_entry = matches!(verify_chunk(body), Ok((_, _, hash)) if hash == meta.hash);
+        if body.len() as u64 != meta.len || !matches_entry {
             return Err(CodecError::Malformed(format!(
                 "recomputed chunk {i} does not match its directory entry"
             )));

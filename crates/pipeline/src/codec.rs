@@ -1,9 +1,8 @@
-//! Compact binary (de)serialization for cached artifacts.
+//! Compact binary (de)serialization for cached artifacts, and the one
+//! integrity hash every container in this crate ends its regions with.
 //!
-//! Two container formats, both carrying the schema version and a
-//! trailing FNV-1a integrity hash so truncated, bit-flipped, or
-//! cross-version cache files are detected on load and treated as
-//! misses:
+//! Two container formats live here; the chunked `SPDC` container
+//! ([`crate::chunked`]) shares their header and hash:
 //!
 //! * **`SPDS`** — a columnar [`Dataset`] image: name table, labels,
 //!   then the CPI column and each event column as raw IEEE-754 bit
@@ -13,9 +12,35 @@
 //!   (the same serde representation `specrepro fit --out` writes)
 //!   wrapped with version and integrity framing.
 //!
+//! ```text
+//! SPDS  "SPDS" | format | schema | n_events | n | names | labels | cpi | events | hash
+//! SPMT  "SPMT" | format | schema | len u64 | JSON payload                      | hash
+//! ```
+//!
+//! Every container opens with the same 12-byte header — magic, the
+//! container format [`CONTAINER_FORMAT`], the fingerprint
+//! [`SCHEMA_VERSION`] — and decoders check it in that order, the magic
+//! and the format *before* the hash. Files from before the format
+//! marker (format 1: magic, schema version 1, byte-serial FNV-1a) carry
+//! a 1 where the marker now sits, so they are refused as
+//! [`CodecError::StaleFormat`] — stale, not corrupt. The store evicts
+//! both kinds and recomputes; the fingerprint schema, and with it every
+//! cache key, is untouched by a container format change.
+//!
+//! [`integrity_hash`] is a word-at-a-time, four-lane FNV-style hash:
+//! each step xors a little-endian `u64` word into a lane, multiplies by
+//! an odd constant and rotates — a bijection of the lane — so a flip of
+//! any single bit anywhere in the hashed bytes always changes the hash.
+//! Lanes fold in order, then the tail bytes and the total length.
+//!
+//! Decoding is one pass: the hash runs over the image once, then the
+//! `Vec<Sample>` rows are built straight from the column-major byte
+//! regions, with no intermediate column vectors.
+//!
 //! Numbers are little-endian. The formats are cache-internal: nothing
-//! outside the artifact store reads them, and a [`SCHEMA_VERSION`] bump
-//! retires old files wholesale.
+//! outside the artifact store reads them.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::fingerprint::SCHEMA_VERSION;
 use modeltree::ModelTree;
@@ -25,6 +50,20 @@ use perfcounters::{Dataset, EventId, Sample};
 const DATASET_MAGIC: &[u8; 4] = b"SPDS";
 const TREE_MAGIC: &[u8; 4] = b"SPMT";
 
+/// Layout generation of every container this crate writes (`SPDS`,
+/// `SPMT`, `SPDC`). Format 1 had no marker and hashed with byte-serial
+/// FNV-1a; format 2 added the marker and [`integrity_hash`]. Bump it
+/// whenever the bytes of a container change for the same content.
+pub const CONTAINER_FORMAT: u32 = 2;
+
+/// Bytes of the header every container opens with: magic, container
+/// format, schema version.
+pub(crate) const HEADER_LEN: usize = 12;
+
+/// Bytes one dataset row occupies in a columnar region: label, CPI,
+/// event densities.
+pub(crate) const ROW_BYTES: usize = 4 + 8 * (1 + N_EVENTS);
+
 /// Why a cache file failed to decode (all variants are treated as a
 /// cache miss by the store; the reason feeds the stage log).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,6 +72,9 @@ pub enum CodecError {
     Truncated,
     /// Wrong magic bytes (not an artifact of this kind).
     BadMagic,
+    /// Artifact written in another container format (an older layout
+    /// or hash), checked before the integrity hash.
+    StaleFormat(u32),
     /// Artifact written by a different schema version.
     WrongVersion(u32),
     /// Trailing integrity hash does not match the content.
@@ -46,6 +88,9 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated => write!(f, "truncated artifact"),
             CodecError::BadMagic => write!(f, "bad magic bytes"),
+            CodecError::StaleFormat(v) => {
+                write!(f, "stale container format {v} (current {CONTAINER_FORMAT})")
+            }
             CodecError::WrongVersion(v) => {
                 write!(f, "schema version {v} (current {SCHEMA_VERSION})")
             }
@@ -57,79 +102,188 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a over a byte slice — the integrity hash appended to every
-/// artifact file.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Odd multiplier of [`integrity_hash`] (the 64-bit golden ratio).
+const HASH_PRIME: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Per-lane starting states; the first is the FNV-1a offset basis.
+const HASH_SEEDS: [u64; 4] = [
+    0xcbf2_9ce4_8422_2325,
+    0x8422_2325_cbf2_9ce4,
+    0x2325_cbf2_9ce4_8422,
+    0x9ce4_8422_2325_cbf2,
+];
+
+/// One hash step: a bijection of `state` for every `word`, and of
+/// `word` for every `state`.
+#[inline(always)]
+fn mix(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(HASH_PRIME).rotate_left(31)
 }
 
-struct Reader<'a> {
+/// The integrity hash that ends every hashed region of every container
+/// (`SPDS`, `SPMT`, and each `SPDC` header, chunk body and directory).
+///
+/// Four independent lanes take consecutive little-endian `u64` words of
+/// each 32-byte block; the lanes then fold into one state in order,
+/// followed by the remaining whole words, the tail bytes, and the total
+/// length. Every step is a bijection of the state it updates, so a
+/// single flipped bit always changes the result. It is an error check,
+/// not a cryptographic hash.
+pub(crate) fn integrity_hash(bytes: &[u8]) -> u64 {
+    let (blocks, tail) = bytes.as_chunks::<32>();
+    let mut lanes = HASH_SEEDS;
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = mix(*lane, u64::from_le_bytes(*word));
+        }
+    }
+    let mut h = HASH_SEEDS[0];
+    for lane in lanes {
+        h = mix(h, lane);
+    }
+    let (words, tail) = tail.as_chunks::<8>();
+    for word in words {
+        h = mix(h, u64::from_le_bytes(*word));
+    }
+    for &b in tail {
+        h = mix(h, u64::from(b));
+    }
+    mix(h, bytes.len() as u64)
+}
+
+/// Appends `bytes` and its [`integrity_hash`].
+pub(crate) fn seal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let hash = integrity_hash(&bytes);
+    bytes.extend_from_slice(&hash.to_le_bytes());
+    bytes
+}
+
+/// Splits a hashed region into its body and verifies the trailing
+/// [`integrity_hash`], returning the body and the stored hash.
+pub(crate) fn verify_sealed(bytes: &[u8]) -> Result<(&[u8], u64), CodecError> {
+    let (body, stored) = bytes.split_last_chunk::<8>().ok_or(CodecError::Truncated)?;
+    let stored = u64::from_le_bytes(*stored);
+    if integrity_hash(body) != stored {
+        return Err(CodecError::IntegrityMismatch);
+    }
+    Ok((body, stored))
+}
+
+/// Appends the common container header for `magic`.
+pub(crate) fn put_header(out: &mut Vec<u8>, magic: &[u8; 4]) {
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&CONTAINER_FORMAT.to_le_bytes());
+    out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
+}
+
+/// Checks a container header's magic and format marker, returning the
+/// schema version it records. Runs before any hash, so a file in an
+/// older layout reports [`CodecError::StaleFormat`], not corruption.
+pub(crate) fn check_header(header: &[u8; HEADER_LEN], magic: &[u8; 4]) -> Result<u32, CodecError> {
+    let [m0, m1, m2, m3, f0, f1, f2, f3, s0, s1, s2, s3] = *header;
+    if [m0, m1, m2, m3] != *magic {
+        return Err(CodecError::BadMagic);
+    }
+    let format = u32::from_le_bytes([f0, f1, f2, f3]);
+    if format != CONTAINER_FORMAT {
+        return Err(CodecError::StaleFormat(format));
+    }
+    Ok(u32::from_le_bytes([s0, s1, s2, s3]))
+}
+
+/// Appends fixed-width words in one bulk write.
+pub(crate) fn put_words<const N: usize>(
+    out: &mut Vec<u8>,
+    words: impl ExactSizeIterator<Item = [u8; N]>,
+) {
+    let start = out.len();
+    out.resize(start + N * words.len(), 0);
+    for (dst, word) in out[start..].as_chunks_mut::<N>().0.iter_mut().zip(words) {
+        *dst = word;
+    }
+}
+
+/// Builds row-major samples in one pass straight from a column-major
+/// region: `cpi` holds one word per row, `events` the `N_EVENTS` event
+/// columns back to back, each as long as `cpi`.
+fn rows_from_columns(cpi: &[[u8; 8]], events: &[[u8; 8]]) -> Vec<Sample> {
+    let n = cpi.len();
+    let mut chunks = events.chunks_exact(n.max(1));
+    let columns: [&[[u8; 8]]; N_EVENTS] = std::array::from_fn(|_| chunks.next().unwrap_or(&[]));
+    cpi.iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let densities: [f64; N_EVENTS] =
+                std::array::from_fn(|e| f64::from_le_bytes(columns[e][i]));
+            Sample::from_densities(f64::from_le_bytes(*c), &densities)
+        })
+        .collect()
+}
+
+/// Cursor over the bytes of a verified region.
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader { buf }
+    }
+
+    /// Bytes not yet read.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        self.buf
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let (out, rest) = self.buf.split_at_checked(n).ok_or(CodecError::Truncated)?;
+        self.buf = rest;
         Ok(out)
     }
 
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (out, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.buf = rest;
+        Ok(*out)
     }
 
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
+        self.array().map(u64::from_le_bytes)
     }
 }
 
-/// Checks magic + version framing and the trailing integrity hash,
-/// returning the payload region between them.
+/// Checks the header (magic and format before anything else), the
+/// trailing integrity hash, then the schema version, returning the
+/// payload between header and hash.
 fn open_envelope<'a>(bytes: &'a [u8], magic: &[u8; 4]) -> Result<Reader<'a>, CodecError> {
-    if bytes.len() < 4 + 4 + 8 {
+    if bytes.len() < HEADER_LEN + 8 {
         return Err(CodecError::Truncated);
     }
-    if &bytes[..4] != magic {
-        return Err(CodecError::BadMagic);
-    }
-    let body = &bytes[..bytes.len() - 8];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(CodecError::IntegrityMismatch);
-    }
-    let mut r = Reader { buf: body, pos: 4 };
-    let version = r.u32()?;
+    let (header, _) = bytes
+        .split_first_chunk::<HEADER_LEN>()
+        .ok_or(CodecError::Truncated)?;
+    let version = check_header(header, magic)?;
+    let (body, _) = verify_sealed(bytes)?;
     if version != SCHEMA_VERSION {
         return Err(CodecError::WrongVersion(version));
     }
+    let mut r = Reader { buf: body };
+    r.take(HEADER_LEN)?;
     Ok(r)
-}
-
-fn seal(mut bytes: Vec<u8>) -> Vec<u8> {
-    let hash = fnv1a(&bytes);
-    bytes.extend_from_slice(&hash.to_le_bytes());
-    bytes
 }
 
 /// Encodes a dataset into the columnar `SPDS` image.
 pub fn encode_dataset(data: &Dataset) -> Vec<u8> {
     let n = data.len();
-    let mut out = Vec::with_capacity(32 + n * (4 + 8 * (1 + N_EVENTS)));
-    out.extend_from_slice(DATASET_MAGIC);
-    out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    let names: usize = data.benchmark_names().iter().map(|s| 4 + s.len()).sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + 16 + names + n * ROW_BYTES + 8);
+    put_header(&mut out, DATASET_MAGIC);
     out.extend_from_slice(&(N_EVENTS as u32).to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(data.benchmark_count() as u32).to_le_bytes());
@@ -137,17 +291,11 @@ pub fn encode_dataset(data: &Dataset) -> Vec<u8> {
         out.extend_from_slice(&(name.len() as u32).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
-    for i in 0..n {
-        out.extend_from_slice(&data.label(i).to_le_bytes());
-    }
+    put_words(&mut out, (0..n).map(|i| data.label(i).to_le_bytes()));
     let cols = data.columns();
-    for &cpi in cols.cpi() {
-        out.extend_from_slice(&cpi.to_bits().to_le_bytes());
-    }
+    put_words(&mut out, cols.cpi().iter().map(|v| v.to_le_bytes()));
     for e in EventId::ALL {
-        for &v in cols.event(e) {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        put_words(&mut out, cols.event(e).iter().map(|v| v.to_le_bytes()));
     }
     seal(out)
 }
@@ -177,36 +325,21 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, CodecError> {
         benchmarks.push(name.to_owned());
     }
     // Guard against absurd sample counts before allocating.
-    let remaining = r.buf.len() - r.pos;
-    let per_sample = 4 + 8 * (1 + N_EVENTS);
-    if remaining != n * per_sample {
+    let remaining = r.buf.len();
+    if n.checked_mul(ROW_BYTES) != Some(remaining) {
         return Err(CodecError::Malformed(format!(
-            "{remaining} payload bytes for {n} samples (expected {})",
-            n * per_sample
+            "{remaining} payload bytes for {n} samples (expected {ROW_BYTES} per sample)"
         )));
     }
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        labels.push(r.u32()?);
-    }
-    let mut cpi = Vec::with_capacity(n);
-    for _ in 0..n {
-        cpi.push(r.f64()?);
-    }
-    let mut columns = vec![0.0f64; N_EVENTS * n];
-    for col in columns.chunks_exact_mut(n.max(1)).take(N_EVENTS) {
-        for v in col.iter_mut() {
-            *v = r.f64()?;
-        }
-    }
-    let mut samples = Vec::with_capacity(n);
-    let mut densities = [0.0f64; N_EVENTS];
-    for i in 0..n {
-        for (e, d) in densities.iter_mut().enumerate() {
-            *d = columns[e * n + i];
-        }
-        samples.push(Sample::from_densities(cpi[i], &densities));
-    }
+    let labels = r
+        .take(4 * n)?
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|w| u32::from_le_bytes(*w))
+        .collect();
+    let cpi = r.take(8 * n)?.as_chunks::<8>().0;
+    let samples = rows_from_columns(cpi, r.buf.as_chunks::<8>().0);
     Dataset::from_parts(samples, labels, benchmarks)
         .map_err(|e| CodecError::Malformed(e.to_string()))
 }
@@ -214,10 +347,11 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, CodecError> {
 /// Encodes a model tree into the `SPMT` envelope (canonical serde JSON
 /// plus framing).
 pub fn encode_tree(tree: &ModelTree) -> Vec<u8> {
-    let payload = serde_json::to_vec(tree).expect("ModelTree serializes");
-    let mut out = Vec::with_capacity(24 + payload.len());
-    out.extend_from_slice(TREE_MAGIC);
-    out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
+    // Serializing a tree cannot fail; should it ever, the empty payload
+    // is refused by `decode_tree` as malformed and the store recomputes.
+    let payload = serde_json::to_vec(tree).unwrap_or_default();
+    let mut out = Vec::with_capacity(HEADER_LEN + 8 + payload.len() + 8);
+    put_header(&mut out, TREE_MAGIC);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
     seal(out)
@@ -265,6 +399,7 @@ mod tests {
         let ds = sample_dataset(300);
         let back = decode_dataset(&encode_dataset(&ds)).unwrap();
         assert_bit_identical(&ds, &back);
+        assert_eq!(back, ds);
     }
 
     #[test]
@@ -319,14 +454,46 @@ mod tests {
             decode_dataset(&encode_tree(&tree())),
             Err(CodecError::BadMagic)
         ));
-        // Patch the version field and re-seal.
+        // Patch the schema version field and re-seal.
         let mut bad = good[..good.len() - 8].to_vec();
-        bad[4..8].copy_from_slice(&(SCHEMA_VERSION + 1).to_le_bytes());
+        bad[8..12].copy_from_slice(&(SCHEMA_VERSION + 1).to_le_bytes());
         let bad = seal(bad);
         assert_eq!(
             decode_dataset(&bad).unwrap_err(),
             CodecError::WrongVersion(SCHEMA_VERSION + 1)
         );
+    }
+
+    #[test]
+    fn other_container_format_is_stale_before_the_hash() {
+        let good = encode_dataset(&sample_dataset(10));
+        // A different marker without re-sealing: the hash no longer
+        // matches, but the format check runs first.
+        let mut bad = good.clone();
+        bad[4..8].copy_from_slice(&(CONTAINER_FORMAT + 1).to_le_bytes());
+        assert_eq!(
+            decode_dataset(&bad).unwrap_err(),
+            CodecError::StaleFormat(CONTAINER_FORMAT + 1)
+        );
+    }
+
+    #[test]
+    fn hash_sees_every_lane_tail_and_length() {
+        let base: Vec<u8> = (0..=200u8).collect();
+        for len in 0..base.len() {
+            let h = integrity_hash(&base[..len]);
+            // Length is folded in: a prefix never collides with itself
+            // extended by a zero byte.
+            let mut longer = base[..len].to_vec();
+            longer.push(0);
+            assert_ne!(h, integrity_hash(&longer), "len {len}");
+        }
+        // Flipping the top bit of two words of the same lane does not
+        // cancel (the rotation carries high bits into low ones).
+        let mut a = vec![0u8; 64];
+        a[7] ^= 0x80;
+        a[39] ^= 0x80;
+        assert_ne!(integrity_hash(&a), integrity_hash(&[0u8; 64]));
     }
 
     fn tree() -> ModelTree {

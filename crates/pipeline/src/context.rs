@@ -41,8 +41,9 @@ pub struct StageCounters {
     pub trees_fitted: usize,
     /// Trees decoded from the disk store.
     pub trees_loaded: usize,
-    /// Artifacts whose on-disk bytes failed integrity or version checks
-    /// and were evicted (each one degrades to a recompute).
+    /// Artifacts whose on-disk bytes failed format, integrity or
+    /// version checks and were evicted (each one degrades to a
+    /// recompute).
     pub corrupt_evicted: usize,
 }
 

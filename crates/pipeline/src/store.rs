@@ -12,9 +12,10 @@
 //! `<system temp>/specrepro-cache` — stable across working directories
 //! so every entry point (bench bins, the CLI, testkit) shares one
 //! store. Writes are atomic (temp file + rename), so concurrent
-//! processes never observe torn artifacts; loads verify the codec's
-//! integrity hash and evict any file that fails, turning corruption
-//! into a recompute instead of an error.
+//! processes never observe torn artifacts; loads check the codec's
+//! container-format marker and integrity hash and evict any file that
+//! fails, turning corruption or a stale layout into a recompute instead
+//! of an error.
 
 use crate::codec::{self, CodecError};
 use crate::fingerprint::{Fingerprint, SCHEMA_VERSION};
@@ -159,9 +160,9 @@ impl ArtifactStore {
         self.put(ArtifactKind::Dataset, key, &bytes)
     }
 
-    /// Loads the dataset under `key`. Corrupt or cross-version files
-    /// are evicted and reported as `Err(Some(reason))`; a plain miss is
-    /// `Err(None)`.
+    /// Loads the dataset under `key`. Corrupt, stale-format or
+    /// cross-version files are evicted and reported as
+    /// `Err(Some(reason))`; a plain miss is `Err(None)`.
     #[allow(clippy::result_large_err)]
     pub fn load_dataset(&self, key: Fingerprint) -> Result<Dataset, Option<CodecError>> {
         let bytes = self.get(ArtifactKind::Dataset, key).ok_or(None)?;
@@ -186,9 +187,9 @@ impl ArtifactStore {
         self.put(ArtifactKind::Tree, key, &bytes)
     }
 
-    /// Loads the model tree under `key`. Corrupt or cross-version files
-    /// are evicted and reported as `Err(Some(reason))`; a plain miss is
-    /// `Err(None)`.
+    /// Loads the model tree under `key`. Corrupt, stale-format or
+    /// cross-version files are evicted and reported as
+    /// `Err(Some(reason))`; a plain miss is `Err(None)`.
     #[allow(clippy::result_large_err)]
     pub fn load_tree(&self, key: Fingerprint) -> Result<ModelTree, Option<CodecError>> {
         let bytes = self.get(ArtifactKind::Tree, key).ok_or(None)?;
