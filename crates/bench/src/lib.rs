@@ -1,5 +1,5 @@
 //! Shared experiment configuration for the table/figure regeneration
-//! binaries and Criterion benchmarks.
+//! binaries.
 //!
 //! The canonical seeds, sizes, and tree configuration live in the
 //! [`pipeline`] crate's experiment registry and are re-exported here,
@@ -23,14 +23,6 @@ pub use pipeline::{suite_tree_config, N_SAMPLES, SEED_CPU2006, SEED_OMP2001, SEE
 /// (no cache). Prefer [`cpu2006_artifacts`] in experiment binaries.
 pub fn cpu2006_dataset() -> Dataset {
     DatasetSpec::cpu2006()
-        .compute(1)
-        .expect("canonical suite generation cannot fail")
-}
-
-/// The canonical SPEC OMP2001 experiment dataset, generated directly
-/// (no cache). Prefer [`omp2001_artifacts`] in experiment binaries.
-pub fn omp2001_dataset() -> Dataset {
-    DatasetSpec::omp2001()
         .compute(1)
         .expect("canonical suite generation cannot fail")
 }

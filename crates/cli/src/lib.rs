@@ -1048,8 +1048,7 @@ generate and fit resolve through a content-addressed artifact store
 repeating a command with identical inputs replays the cached artifact
 bit-for-bit instead of recomputing. `specrepro cache stats` reports its
 contents, `specrepro cache clear` deletes it, and setting
-SPECREPRO_OBS_LOG=0 (or its legacy alias SPECREPRO_PIPELINE_LOG=0)
-silences the per-stage cache log on stderr.
+SPECREPRO_OBS_LOG=0 silences the per-stage cache log on stderr.
 
 serve hosts the model as an HTTP prediction service (POST /predict,
 /classify; GET /healthz, /metrics; POST /swap promotes a cached tree by

@@ -204,11 +204,6 @@ pub struct CompiledTree {
     /// equality; a deserialized engine rebuilds it on first use.
     #[serde(skip)]
     plan: PlanCell,
-    /// Inverted plan-caching switch ([`CompiledTree::with_plan_caching`]).
-    /// Stored inverted so the serde-skip default (`false`) keeps caching
-    /// **on** for deserialized engines.
-    #[serde(skip)]
-    plan_uncached: bool,
 }
 
 impl CompiledTree {
@@ -233,7 +228,6 @@ impl CompiledTree {
             block_rows: None,
             quantized: None,
             plan: PlanCell::default(),
-            plan_uncached: false,
         };
         let k = if tree.config().smoothing {
             tree.config().smoothing_k
@@ -384,8 +378,7 @@ impl CompiledTree {
         self
     }
 
-    /// Returns the engine with kernel-plan caching forced on (the
-    /// default) or off.
+    /// The engine's kernel plan, built on first use and cached.
     ///
     /// The batch entry points split each call's kernel into a
     /// **data-independent plan** — the deduplicated set of columns the
@@ -394,31 +387,10 @@ impl CompiledTree {
     /// merely borrows the dataset's column slices for the planned
     /// events, `O(used columns)`. The plan depends only on the tree
     /// structure, which is immutable after compilation, so it is built
-    /// once and cached on the engine; for the repeated small batches a
+    /// once and shared by clones; for the repeated small batches a
     /// model server coalesces (1–64 rows), rebuilding it per call would
-    /// dominate the kernel itself. Disabling exists for A/B
-    /// benchmarking (`benches/serve_kernel.rs`) — results are identical
-    /// either way.
-    #[must_use]
-    pub fn with_plan_caching(mut self, enabled: bool) -> Self {
-        self.plan_uncached = !enabled;
-        if !enabled {
-            self.plan = PlanCell::default();
-        }
-        self
-    }
-
-    /// Whether the batch entry points reuse the cached kernel plan.
-    pub fn plan_caching(&self) -> bool {
-        !self.plan_uncached
-    }
-
-    /// The engine's kernel plan: the cached copy (building it on first
-    /// use), or a fresh build when caching is off.
+    /// dominate the kernel itself.
     fn kernel_plan(&self) -> Arc<KernelPlan> {
-        if self.plan_uncached {
-            return Arc::new(KernelPlan::build(self));
-        }
         Arc::clone(
             self.plan
                 .0
@@ -1670,7 +1642,7 @@ impl<'a> BatchKernel<'a> {
 /// actually touches (typically far fewer than `N_EVENTS`), deduplicated,
 /// with every node and folded term resolved to an index into that small
 /// set. The plan depends only on the immutable compiled tree, so it is
-/// built once per engine and cached ([`CompiledTree::with_plan_caching`]);
+/// built once per engine and cached ([`CompiledTree::kernel_plan`]);
 /// a per-call [`SimdKernel`] then only borrows one dataset's slices for
 /// the planned events.
 #[derive(Debug)]
@@ -2130,22 +2102,17 @@ mod tests {
         let ds = regime_dataset(800, 12);
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
         let cached = tree.compile().with_simd(true);
-        let uncached = tree.compile().with_simd(true).with_plan_caching(false);
-        assert!(cached.plan_caching());
-        assert!(!uncached.plan_caching());
 
         // Repeated small batches (the serve coalescer's shape) must be
-        // bit-identical with the plan cached, uncached, and across
-        // repeated calls of the same engine.
+        // bit-identical across repeated calls of the same engine.
         let reference = cached.predict_batch(&ds);
+        let classes = cached.classify_batch(&ds);
         for _ in 0..3 {
             let a = cached.predict_batch(&ds);
-            let b = uncached.predict_batch(&ds);
-            for ((r, x), y) in reference.iter().zip(&a).zip(&b) {
+            for (r, x) in reference.iter().zip(&a) {
                 assert_eq!(r.to_bits(), x.to_bits());
-                assert_eq!(r.to_bits(), y.to_bits());
             }
-            assert_eq!(cached.classify_batch(&ds), uncached.classify_batch(&ds));
+            assert_eq!(cached.classify_batch(&ds), classes);
         }
 
         // The cache survives (and is shared by) clones: the clone's
@@ -2153,11 +2120,6 @@ mod tests {
         let built = cached.kernel_plan();
         let cloned = cached.clone();
         assert!(Arc::ptr_eq(&built, &cloned.kernel_plan()));
-        // An uncached engine hands out a fresh plan per call.
-        assert!(!Arc::ptr_eq(
-            &uncached.kernel_plan(),
-            &uncached.kernel_plan()
-        ));
     }
 
     #[test]
@@ -2167,9 +2129,8 @@ mod tests {
         let engine = tree.compile().with_simd(true);
         let json = serde_json::to_string(&engine).unwrap();
         let back: CompiledTree = serde_json::from_str(&json).unwrap();
-        // serde skips the cache cell; the deserialized engine defaults
-        // to caching on and rebuilds an equivalent plan lazily.
-        assert!(back.plan_caching());
+        // serde skips the cache cell; the deserialized engine rebuilds
+        // an equivalent plan lazily.
         let expect = engine.predict_batch(&ds);
         let got = back.with_simd(true).predict_batch(&ds);
         for (a, b) in expect.iter().zip(&got) {

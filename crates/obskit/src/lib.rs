@@ -39,8 +39,7 @@
 //! [`STATE`] when telemetry is disabled — no clock reads, no
 //! allocation, no locks, no formatting. Instrumentation sits at
 //! phase/batch/artifact granularity (never per row or per threshold),
-//! so even fully enabled telemetry stays under a percent on the 50k
-//! fit and 60k predict benches (`results/BENCH_obskit.json`).
+//! so even fully enabled telemetry adds no per-row cost.
 //!
 //! # Determinism
 //!
@@ -150,12 +149,10 @@ pub fn emit(
 }
 
 /// Whether structured events should be mirrored to stderr, from the
-/// environment: `SPECREPRO_OBS_LOG`, falling back to the legacy
-/// `SPECREPRO_PIPELINE_LOG` alias. Matching the pipeline's historical
-/// behavior, logging defaults **on** and is silenced by `0` / `off`.
+/// environment: logging defaults **on** and `SPECREPRO_OBS_LOG` set to
+/// `0` / `off` silences it.
 pub fn log_env_enabled() -> bool {
-    let value =
-        std::env::var("SPECREPRO_OBS_LOG").or_else(|_| std::env::var("SPECREPRO_PIPELINE_LOG"));
+    let value = std::env::var("SPECREPRO_OBS_LOG");
     !matches!(value.as_deref(), Ok("0") | Ok("off"))
 }
 

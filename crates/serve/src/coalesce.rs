@@ -13,7 +13,7 @@
 //! (model version, kind) in the batch.
 //!
 //! `window == 0` degenerates to strict one-request-per-batch execution
-//! — the honest unbatched baseline `bench_serve` compares against.
+//! — the honest unbatched baseline.
 //!
 //! **Backpressure:** pending rows are bounded by `queue_rows`;
 //! [`Coalescer::submit`] fails fast with [`SubmitError::Busy`] instead

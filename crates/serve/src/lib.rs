@@ -38,7 +38,7 @@
 //! * [`loadgen`] — an open-loop (fixed arrival schedule, latency
 //!   measured against the *schedule*, so queueing delay is charged to
 //!   the server — no coordinated omission) and saturating load
-//!   generator used by `bench_serve` and the CI smoke job.
+//!   generator used by the serve end-to-end tests and `perfbench`.
 //!
 //! # Determinism contract
 //!

@@ -79,6 +79,11 @@ fn trees_and_their_codec_bytes_are_bit_identical_with_telemetry_on() {
     obskit::set_enabled(true, true);
     let tree_on = ModelTree::fit(&data, &config).expect("fit succeeds");
     let bytes_on = codec::encode_tree(&tree_on);
+    // Everything on, the flight recorder included.
+    obskit::set_ring_enabled(true);
+    let bytes_ring = codec::encode_tree(&ModelTree::fit(&data, &config).expect("fit succeeds"));
+    obskit::set_ring_enabled(false);
+    obskit::ring::reset();
     obskit::set_enabled(false, false);
 
     assert_eq!(
@@ -89,6 +94,10 @@ fn trees_and_their_codec_bytes_are_bit_identical_with_telemetry_on() {
     assert_eq!(
         bytes_off, bytes_on,
         "telemetry changed the tree codec bytes"
+    );
+    assert_eq!(
+        bytes_off, bytes_ring,
+        "the armed flight recorder changed the tree codec bytes"
     );
     assert!(
         obskit::metrics::value(obskit::metrics::Metric::TrainerNodesExpanded) > 0,
@@ -180,5 +189,60 @@ fn container_bytes_and_refits_bit_identical_with_flight_ring_armed() {
         "armed refit recorded no RefitWindow flight events"
     );
     obskit::ring::reset();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A warm E8 matrix pass replays every artifact: it generates, splits
+/// and fits nothing, as seen both by the context's stage counters and
+/// by the process-global `pipeline.*` obskit counters, and it assembles
+/// the same matrix the cold pass did.
+#[test]
+fn warm_matrix_pass_does_no_work_on_either_counter_surface() {
+    use obskit::metrics::{value, Metric};
+    use pipeline::{ArtifactStore, PipelineContext};
+    use spec_bench::artifacts::generation_matrix;
+    use transfer::{MatrixSpec, TransferMatrix};
+
+    let _guard = Guard::acquire();
+    let spec = MatrixSpec::smoke();
+    let dir = std::env::temp_dir().join(format!("specrepro-obs-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open(&dir);
+    obskit::set_enabled(true, false);
+
+    let cold_ctx = PipelineContext::with_store(store.clone()).with_logging(false);
+    let cold = TransferMatrix::assess_all(&cold_ctx, &spec, 2).expect("cold matrix");
+    let c = cold_ctx.counters();
+    assert!(c.datasets_generated > 0, "cold pass must generate");
+    assert_eq!(c.trees_fitted, spec.suites.len(), "one fit per suite");
+    assert!(
+        value(Metric::PipelineTreeMisses) > 0,
+        "cold pass saw no tree misses"
+    );
+
+    let tree_misses = value(Metric::PipelineTreeMisses);
+    let dataset_misses = value(Metric::PipelineDatasetMisses);
+    let warm_ctx = PipelineContext::with_store(store.clone()).with_logging(false);
+    let warm = TransferMatrix::assess_all(&warm_ctx, &spec, 2).expect("warm matrix");
+    let w = warm_ctx.counters();
+    assert_eq!(w.datasets_generated, 0, "warm pass regenerated");
+    assert_eq!(w.splits_computed, 0, "warm pass resplit");
+    assert_eq!(w.trees_fitted, 0, "warm pass refit");
+    assert_eq!(
+        value(Metric::PipelineTreeMisses) - tree_misses,
+        0,
+        "obskit saw tree misses on the warm pass"
+    );
+    assert_eq!(
+        value(Metric::PipelineDatasetMisses) - dataset_misses,
+        0,
+        "obskit saw dataset misses on the warm pass"
+    );
+    assert_eq!(
+        generation_matrix(&warm),
+        generation_matrix(&cold),
+        "warm matrix is not bit-identical to the cold run"
+    );
+    let _ = store.clear();
     let _ = std::fs::remove_dir_all(&dir);
 }
