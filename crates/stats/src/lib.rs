@@ -7,9 +7,12 @@
 //! * [`ttest`] — two-sample Student-t tests (pooled and Welch), including
 //!   the exact estimator chain of the paper's Equations 8–11, applied
 //!   both to dataset-vs-dataset comparisons (`H0: P1 = P2`) and to
-//!   predicted-vs-actual comparisons (`H0: P_pred = P2`).
+//!   predicted-vs-actual comparisons (`H0: P_pred = P2`). A
+//!   [`SampleMoments`] summary lets one sample enter many comparisons
+//!   without re-reading it.
 //! * [`nonparametric`] — the Mann-Whitney U test and Levene's test, the
-//!   non-parametric alternatives the paper names.
+//!   non-parametric alternatives the paper names. Mann-Whitney also
+//!   takes presorted samples, ranking a pair by one linear merge.
 //! * [`metrics`] — prediction-accuracy metrics: the correlation
 //!   coefficient `C` (Equation 12) and the mean absolute error
 //!   (Equation 13), plus RMSE and relative errors, with the paper's
@@ -36,7 +39,10 @@ pub mod ttest;
 
 pub use bootstrap::{bootstrap_ci, correlation_ci, mae_ci, BootstrapCi};
 pub use metrics::{AcceptanceThresholds, PredictionMetrics};
-pub use ttest::{cohens_d, two_sample_t_test, welch_t_test, TTestResult};
+pub use ttest::{
+    cohens_d, cohens_d_from_moments, two_sample_t_test, welch_from_moments, welch_t_test,
+    SampleMoments, TTestResult,
+};
 
 /// Errors from statistical routines.
 #[derive(Debug, Clone, PartialEq, Eq)]

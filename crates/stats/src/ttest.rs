@@ -85,6 +85,70 @@ fn finalize(statistic: f64, dof: f64, mean_a: f64, mean_b: f64, std_err: f64) ->
     }
 }
 
+/// The summary a two-sample t-test or effect size reads from one
+/// sample: its size, mean (Equation 8) and unbiased variance
+/// (Equation 9).
+///
+/// Built once, a summary can be reused for every comparison its sample
+/// takes part in; [`welch_t_test`] and [`cohens_d`] are thin wrappers
+/// over [`welch_from_moments`] and [`cohens_d_from_moments`], so the
+/// one-shot and the summary paths give bit-identical results.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SampleMoments {
+    n: usize,
+    mean: f64,
+    variance: f64,
+}
+
+impl SampleMoments {
+    /// Summarizes a sample with `mathkit::describe::{mean, variance}`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StatsError::InsufficientData`] if the sample has fewer
+    /// than 2 elements (the unbiased variance is undefined).
+    pub fn new(xs: &[f64]) -> Result<Self> {
+        match (mean(xs), variance(xs)) {
+            (Ok(mean), Ok(variance)) => Ok(SampleMoments {
+                n: xs.len(),
+                mean,
+                variance,
+            }),
+            _ => Err(StatsError::InsufficientData(format!(
+                "need >= 2 samples, got {}",
+                xs.len()
+            ))),
+        }
+    }
+
+    /// Number of observations (at least 2).
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Sample mean.
+    pub fn mean(&self) -> f64 {
+        self.mean
+    }
+
+    /// Unbiased sample variance (`n - 1` denominator).
+    pub fn variance(&self) -> f64 {
+        self.variance
+    }
+}
+
+/// The shared size guard of the two-sample tests.
+fn two_sample_moments(a: &[f64], b: &[f64]) -> Result<(SampleMoments, SampleMoments)> {
+    if a.len() < 2 || b.len() < 2 {
+        return Err(StatsError::InsufficientData(format!(
+            "need >= 2 samples on each side, got {} and {}",
+            a.len(),
+            b.len()
+        )));
+    }
+    Ok((SampleMoments::new(a)?, SampleMoments::new(b)?))
+}
+
 /// Unequal-variance (Welch) two-sample t-test — the form of Equations
 /// 10–11, which the paper notes is "robust against unequal variance when
 /// the number of instances ... are not very different".
@@ -94,31 +158,26 @@ fn finalize(statistic: f64, dof: f64, mean_a: f64, mean_b: f64, std_err: f64) ->
 /// Returns [`StatsError::InsufficientData`] if either sample has fewer
 /// than 2 elements.
 pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<TTestResult> {
-    if a.len() < 2 || b.len() < 2 {
-        return Err(StatsError::InsufficientData(format!(
-            "need >= 2 samples on each side, got {} and {}",
-            a.len(),
-            b.len()
-        )));
-    }
-    let (ma, mb) = (mean(a).expect("non-empty"), mean(b).expect("non-empty"));
-    let (va, vb) = (
-        variance(a).expect("len >= 2"),
-        variance(b).expect("len >= 2"),
-    );
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let sea = va / na;
-    let seb = vb / nb;
+    let (a, b) = two_sample_moments(a, b)?;
+    Ok(welch_from_moments(&a, &b))
+}
+
+/// [`welch_t_test`] from precomputed sample summaries.
+pub fn welch_from_moments(a: &SampleMoments, b: &SampleMoments) -> TTestResult {
+    let (ma, mb) = (a.mean, b.mean);
+    let (na, nb) = (a.n as f64, b.n as f64);
+    let sea = a.variance / na;
+    let seb = b.variance / nb;
     let se = (sea + seb).sqrt();
     if se == 0.0 {
         // Both sides are constants. Equal constants carry no evidence of
         // a difference; distinct constants are a zero-noise separation
         // (infinitely strong evidence), matching `paired_t_test`.
-        return Ok(degenerate_constant(ma, mb, na + nb - 2.0));
+        return degenerate_constant(ma, mb, na + nb - 2.0);
     }
     // Welch–Satterthwaite degrees of freedom.
     let dof = (sea + seb) * (sea + seb) / (sea * sea / (na - 1.0) + seb * seb / (nb - 1.0));
-    Ok(finalize((ma - mb) / se, dof, ma, mb, se))
+    finalize((ma - mb) / se, dof, ma, mb, se)
 }
 
 /// Pooled-variance two-sample t-test on `n + m - 2` degrees of freedom,
@@ -129,21 +188,11 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<TTestResult> {
 /// Returns [`StatsError::InsufficientData`] if either sample has fewer
 /// than 2 elements.
 pub fn two_sample_t_test(a: &[f64], b: &[f64]) -> Result<TTestResult> {
-    if a.len() < 2 || b.len() < 2 {
-        return Err(StatsError::InsufficientData(format!(
-            "need >= 2 samples on each side, got {} and {}",
-            a.len(),
-            b.len()
-        )));
-    }
-    let (ma, mb) = (mean(a).expect("non-empty"), mean(b).expect("non-empty"));
-    let (va, vb) = (
-        variance(a).expect("len >= 2"),
-        variance(b).expect("len >= 2"),
-    );
-    let (na, nb) = (a.len() as f64, b.len() as f64);
+    let (a, b) = two_sample_moments(a, b)?;
+    let (ma, mb) = (a.mean, b.mean);
+    let (na, nb) = (a.n as f64, b.n as f64);
     let dof = na + nb - 2.0;
-    let pooled = ((na - 1.0) * va + (nb - 1.0) * vb) / dof;
+    let pooled = ((na - 1.0) * a.variance + (nb - 1.0) * b.variance) / dof;
     let se = (pooled * (1.0 / na + 1.0 / nb)).sqrt();
     if se == 0.0 {
         return Ok(degenerate_constant(ma, mb, dof));
@@ -209,28 +258,23 @@ pub fn paired_t_test(a: &[f64], b: &[f64]) -> Result<TTestResult> {
 /// Returns [`StatsError::InsufficientData`] if either sample has fewer
 /// than 2 elements.
 pub fn cohens_d(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.len() < 2 || b.len() < 2 {
-        return Err(StatsError::InsufficientData(format!(
-            "need >= 2 samples on each side, got {} and {}",
-            a.len(),
-            b.len()
-        )));
-    }
-    let (ma, mb) = (mean(a).expect("non-empty"), mean(b).expect("non-empty"));
-    let (va, vb) = (
-        variance(a).expect("len >= 2"),
-        variance(b).expect("len >= 2"),
-    );
-    let (na, nb) = (a.len() as f64, b.len() as f64);
-    let pooled = (((na - 1.0) * va + (nb - 1.0) * vb) / (na + nb - 2.0)).sqrt();
+    let (a, b) = two_sample_moments(a, b)?;
+    Ok(cohens_d_from_moments(&a, &b))
+}
+
+/// [`cohens_d`] from precomputed sample summaries.
+pub fn cohens_d_from_moments(a: &SampleMoments, b: &SampleMoments) -> f64 {
+    let (ma, mb) = (a.mean, b.mean);
+    let (na, nb) = (a.n as f64, b.n as f64);
+    let pooled = (((na - 1.0) * a.variance + (nb - 1.0) * b.variance) / (na + nb - 2.0)).sqrt();
     if pooled == 0.0 {
-        return Ok(if ma == mb {
+        return if ma == mb {
             0.0
         } else {
             f64::INFINITY.copysign(ma - mb)
-        });
+        };
     }
-    Ok((ma - mb) / pooled)
+    (ma - mb) / pooled
 }
 
 #[cfg(test)]
@@ -402,6 +446,98 @@ mod tests {
         let flat = [2.0, 2.0, 2.0];
         assert_eq!(cohens_d(&flat, &flat).unwrap(), 0.0);
         assert_eq!(cohens_d(&[3.0, 3.0], &[2.0, 2.0]).unwrap(), f64::INFINITY);
+    }
+
+    /// The Welch formula read straight off the samples: the oracle the
+    /// summary path must match bit for bit.
+    fn welch_oracle(a: &[f64], b: &[f64]) -> TTestResult {
+        let (ma, mb) = (mean(a).unwrap(), mean(b).unwrap());
+        let (va, vb) = (variance(a).unwrap(), variance(b).unwrap());
+        let (na, nb) = (a.len() as f64, b.len() as f64);
+        let (sea, seb) = (va / na, vb / nb);
+        let se = (sea + seb).sqrt();
+        if se == 0.0 {
+            return degenerate_constant(ma, mb, na + nb - 2.0);
+        }
+        let dof = (sea + seb) * (sea + seb) / (sea * sea / (na - 1.0) + seb * seb / (nb - 1.0));
+        finalize((ma - mb) / se, dof, ma, mb, se)
+    }
+
+    /// Cohen's d read straight off the samples.
+    fn cohens_d_oracle(a: &[f64], b: &[f64]) -> f64 {
+        let (ma, mb) = (mean(a).unwrap(), mean(b).unwrap());
+        let (va, vb) = (variance(a).unwrap(), variance(b).unwrap());
+        let (na, nb) = (a.len() as f64, b.len() as f64);
+        let pooled = (((na - 1.0) * va + (nb - 1.0) * vb) / (na + nb - 2.0)).sqrt();
+        if pooled == 0.0 {
+            return if ma == mb {
+                0.0
+            } else {
+                f64::INFINITY.copysign(ma - mb)
+            };
+        }
+        (ma - mb) / pooled
+    }
+
+    fn result_bits(r: &TTestResult) -> [u64; 6] {
+        [r.statistic, r.dof, r.p_value, r.mean_a, r.mean_b, r.std_err].map(f64::to_bits)
+    }
+
+    #[test]
+    fn summaries_match_one_shot_bit_for_bit() {
+        let cases: Vec<(Vec<f64>, Vec<f64>)> = vec![
+            (
+                normal_sample(2000, 1.0, 0.5, 30),
+                normal_sample(18_000, 1.1, 0.7, 31),
+            ),
+            (
+                normal_sample(2, 0.0, 1.0, 32),
+                normal_sample(3, 5.0, 1e-9, 33),
+            ),
+            (vec![2.0; 5], vec![2.0; 7]),
+            (vec![1.0; 4], vec![-0.0, 0.0, 0.0]),
+            (vec![1e300, -1e300, 3.0], vec![0.25, 0.5]),
+        ];
+        for (a, b) in &cases {
+            let (ma, mb) = (
+                SampleMoments::new(a).unwrap(),
+                SampleMoments::new(b).unwrap(),
+            );
+            assert_eq!(ma.n(), a.len());
+            assert_eq!(ma.mean().to_bits(), mean(a).unwrap().to_bits());
+            assert_eq!(ma.variance().to_bits(), variance(a).unwrap().to_bits());
+            let oracle = welch_oracle(a, b);
+            assert_eq!(
+                result_bits(&welch_from_moments(&ma, &mb)),
+                result_bits(&oracle)
+            );
+            assert_eq!(
+                result_bits(&welch_t_test(a, b).unwrap()),
+                result_bits(&oracle)
+            );
+            let d = cohens_d_oracle(a, b);
+            assert_eq!(cohens_d_from_moments(&ma, &mb).to_bits(), d.to_bits());
+            assert_eq!(cohens_d(a, b).unwrap().to_bits(), d.to_bits());
+        }
+    }
+
+    #[test]
+    fn summary_rejects_undersized_samples() {
+        for xs in [&[] as &[f64], &[1.0]] {
+            assert!(matches!(
+                SampleMoments::new(xs),
+                Err(StatsError::InsufficientData(_))
+            ));
+        }
+        // The one-shot functions keep their own two-sided message.
+        let err = welch_t_test(&[1.0], &[1.0, 2.0]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "insufficient data: need >= 2 samples on each side, got 1 and 2"
+        );
+        assert_eq!(cohens_d(&[1.0, 2.0], &[]).unwrap_err().to_string(), {
+            "insufficient data: need >= 2 samples on each side, got 2 and 0"
+        });
     }
 
     #[test]

@@ -246,3 +246,41 @@ fn warm_matrix_pass_does_no_work_on_either_counter_surface() {
     let _ = store.clear();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Per-suite work in a warm canonical E8 pass happens once per suite:
+/// each of the 4 trees is compiled once, not once per cell and member
+/// set, while the engine still predicts every row a cell needs — 16
+/// rest sets of 18k plus the 78 member sets of 2k for each of the 4
+/// trained models.
+#[test]
+fn warm_canonical_matrix_compiles_each_tree_once() {
+    use obskit::metrics::{value, Metric};
+    use pipeline::PipelineContext;
+    use transfer::{MatrixSpec, TransferMatrix};
+
+    let _guard = Guard::acquire();
+    let spec = MatrixSpec::canonical();
+    let ctx = PipelineContext::ephemeral().with_logging(false);
+    TransferMatrix::assess_all(&ctx, &spec, 2).expect("cold matrix");
+
+    obskit::set_enabled(true, false);
+    let compilations = value(Metric::EngineCompilations);
+    let rows = value(Metric::EngineRowsPredicted);
+    let warm = TransferMatrix::assess_all(&ctx, &spec, 2).expect("warm matrix");
+    let compilations = value(Metric::EngineCompilations) - compilations;
+    let rows = value(Metric::EngineRowsPredicted) - rows;
+    obskit::set_enabled(false, false);
+
+    assert_eq!(
+        ctx.counters().trees_fitted,
+        spec.suites.len(),
+        "warm pass refit"
+    );
+    assert_eq!(warm.cells.len(), 16);
+    assert_eq!(
+        compilations,
+        spec.suites.len() as u64,
+        "one compile per tree"
+    );
+    assert_eq!(rows, 912_000, "the warm pass predicted different rows");
+}

@@ -15,6 +15,15 @@
 //!    coefficient `C` and mean absolute error with the paper's
 //!    acceptance thresholds (`C > 0.85`, `MAE <= 0.15`).
 //!
+//! An assessment reads three things: a compiled engine for the model,
+//! a per-dataset summary of each side (CPI and tested-event moments, a
+//! `total_cmp`-sorted CPI copy for Mann-Whitney, which event columns
+//! were collected), and the predictions for the test side. The one-shot
+//! [`TransferabilityReport::assess`] builds all three for one pair. The
+//! N×N [`matrix`] builds the engine and the summaries once per suite
+//! and reuses them in every cell that suite takes part in, through the
+//! same code, so both paths give bit-identical reports.
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -35,17 +44,23 @@
 //! assert!(report.accuracy_transferable());
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod matrix;
 
 pub use matrix::{MatrixCell, MatrixSpec, MemberRow, SuiteArtifacts, TransferMatrix};
 
-use modeltree::ModelTree;
+use modeltree::{CompiledTree, ModelTree};
+use perfcounters::events::N_EVENTS;
 use perfcounters::{Dataset, EventId};
 use serde::{Deserialize, Serialize};
 use spec_stats::metrics::{AcceptanceThresholds, PredictionMetrics};
-use spec_stats::nonparametric::{mann_whitney_u, NonParametricResult};
-use spec_stats::ttest::{cohens_d, welch_t_test, TTestResult};
+use spec_stats::nonparametric::{mann_whitney_u_sorted, sorted_copy, NonParametricResult};
+use spec_stats::ttest::{
+    cohens_d_from_moments, welch_from_moments, welch_t_test, SampleMoments, TTestResult,
+};
 use spec_stats::StatsError;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Configuration of a transferability assessment.
@@ -150,6 +165,64 @@ impl From<StatsError> for TransferError {
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, TransferError>;
 
+/// A model ready for assessment: its batch-inference engine and the
+/// events it reads, built once and reused for every dataset it meets.
+pub(crate) struct PreparedModel {
+    engine: CompiledTree,
+    used_events: BTreeSet<EventId>,
+}
+
+impl PreparedModel {
+    pub(crate) fn new(model: &ModelTree) -> Self {
+        PreparedModel {
+            engine: model.compile(),
+            used_events: model.used_events(),
+        }
+    }
+
+    /// Predicted CPI for every sample of `data`.
+    pub(crate) fn predict(&self, data: &Dataset) -> Vec<f64> {
+        self.engine.predict_batch(data)
+    }
+}
+
+/// What an assessment reads from one dataset, independent of the
+/// dataset it is compared with: CPI moments and a sorted CPI copy,
+/// the moments of each [`TransferConfig::tested_events`] column, and
+/// which event columns were collected.
+pub(crate) struct DatasetSummary<'a> {
+    data: &'a Dataset,
+    cpi: SampleMoments,
+    sorted_cpi: Vec<f64>,
+    /// One entry per [`TransferConfig::tested_events`], in order.
+    events: Vec<SampleMoments>,
+    /// Per [`EventId::index`]: whether the column is collected.
+    collected: [bool; N_EVENTS],
+}
+
+impl<'a> DatasetSummary<'a> {
+    /// Summarizes `data` for assessments under `config`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransferError::Stats`] if `data` has fewer than 2
+    /// samples.
+    pub(crate) fn new(data: &'a Dataset, config: &TransferConfig) -> Result<Self> {
+        let events = config
+            .tested_events
+            .iter()
+            .map(|&e| SampleMoments::new(data.event_column(e)))
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(DatasetSummary {
+            data,
+            cpi: SampleMoments::new(data.cpi_column())?,
+            sorted_cpi: sorted_copy(data.cpi_column()),
+            events,
+            collected: EventId::ALL.map(|e| event_collected(data, e)),
+        })
+    }
+}
+
 /// An event counts as *collected* in a dataset if any sample carries a
 /// nonzero value for it: the generators emit continuous positive
 /// densities for every architected counter, while an uncollected column
@@ -162,17 +235,17 @@ fn event_collected(data: &Dataset, event: EventId) -> bool {
 /// and regression attributes plus [`TransferConfig::tested_events`] —
 /// is collected in both datasets or in neither.
 fn check_event_schema(
-    model: &ModelTree,
-    train: &Dataset,
-    test: &Dataset,
+    model: &PreparedModel,
+    train: &DatasetSummary,
+    test: &DatasetSummary,
     config: &TransferConfig,
 ) -> Result<()> {
-    let mut relevant = model.used_events();
+    let mut relevant = model.used_events.clone();
     relevant.extend(config.tested_events.iter().copied());
     let mut missing_in_train = Vec::new();
     let mut missing_in_test = Vec::new();
     for e in relevant {
-        match (event_collected(train, e), event_collected(test, e)) {
+        match (train.collected[e.index()], test.collected[e.index()]) {
             (false, true) => missing_in_train.push(e),
             (true, false) => missing_in_test.push(e),
             _ => {}
@@ -232,7 +305,7 @@ impl TransferabilityReport {
     /// # Errors
     ///
     /// * [`TransferError::Stats`] if either dataset is too small for the
-    ///   tests (fewer than 2 samples).
+    ///   tests (fewer than 2 samples, or 8 combined).
     /// * [`TransferError::SchemaMismatch`] if an event the assessment
     ///   depends on is collected (has any nonzero measurement) in one
     ///   dataset but not the other.
@@ -244,26 +317,46 @@ impl TransferabilityReport {
         test_name: &str,
         config: &TransferConfig,
     ) -> Result<TransferabilityReport> {
-        // Size problems report as `Stats` errors (from the first t-test
-        // below); the schema comparison only applies to datasets large
-        // enough to assess at all.
-        if train.len() >= 2 && test.len() >= 2 {
-            check_event_schema(model, train, test, config)?;
+        if train.len() < 2 || test.len() < 2 {
+            // Too small to summarize: report the CPI t-test's own error.
+            welch_t_test(train.cpi_column(), test.cpi_column())?;
         }
-        let train_cpi = train.cpis();
-        let test_cpi = test.cpis();
-        let predicted = model.compile().predict_batch(test);
+        Self::assess_prepared(
+            &PreparedModel::new(model),
+            &DatasetSummary::new(train, config)?,
+            &DatasetSummary::new(test, config)?,
+            train_name,
+            test_name,
+            config,
+        )
+    }
 
-        let cpi_datasets = welch_t_test(&train_cpi, &test_cpi)?;
-        let cpi_effect_size = cohens_d(&train_cpi, &test_cpi)?;
-        let cpi_predicted = welch_t_test(&predicted, &test_cpi)?;
-        let mut event_tests = Vec::with_capacity(config.tested_events.len());
-        for &e in &config.tested_events {
-            let result = welch_t_test(&train.column(e), &test.column(e))?;
-            event_tests.push((e, result));
-        }
-        let mann_whitney_cpi = mann_whitney_u(&train_cpi, &test_cpi)?;
-        let metrics = PredictionMetrics::from_predictions(&predicted, &test_cpi)?;
+    /// [`TransferabilityReport::assess`] from a prepared model and
+    /// dataset summaries; the only per-pair work is one batch predict
+    /// of the test set and the statistics on its predictions.
+    pub(crate) fn assess_prepared(
+        model: &PreparedModel,
+        train: &DatasetSummary,
+        test: &DatasetSummary,
+        train_name: &str,
+        test_name: &str,
+        config: &TransferConfig,
+    ) -> Result<TransferabilityReport> {
+        check_event_schema(model, train, test, config)?;
+        let test_cpi = test.data.cpi_column();
+        let predicted = model.predict(test.data);
+
+        let cpi_datasets = welch_from_moments(&train.cpi, &test.cpi);
+        let cpi_effect_size = cohens_d_from_moments(&train.cpi, &test.cpi);
+        let cpi_predicted = welch_from_moments(&SampleMoments::new(&predicted)?, &test.cpi);
+        let event_tests = config
+            .tested_events
+            .iter()
+            .zip(train.events.iter().zip(&test.events))
+            .map(|(&e, (a, b))| (e, welch_from_moments(a, b)))
+            .collect();
+        let mann_whitney_cpi = mann_whitney_u_sorted(&train.sorted_cpi, &test.sorted_cpi)?;
+        let metrics = PredictionMetrics::from_predictions(&predicted, test_cpi)?;
 
         Ok(TransferabilityReport {
             train_name: train_name.to_owned(),

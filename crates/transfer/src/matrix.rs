@@ -12,13 +12,27 @@
 //!
 //! Everything resolves through the pipeline: suite datasets, splits,
 //! and trees are content-addressed artifacts, so a warm rerun of the
-//! full matrix performs zero generation and zero fitting. Cell
-//! assessment itself is a pure function of the resolved artifacts and
-//! runs under deterministic chunked parallelism — worker `w` takes
-//! cells `w, w + n, w + 2n, …` and results are assembled in cell-index
+//! full matrix performs zero generation and zero fitting.
+//!
+//! Most of a cell's work depends on one suite only, so it is done once
+//! per suite before any cell runs: each tree is compiled once, and each
+//! suite's train and rest sets are summarized once (CPI and
+//! tested-event moments, a sorted CPI copy, collected-event flags).
+//! A cell then predicts the test suite's rest set and member sets with
+//! the train suite's engine and runs the tests on the prepared
+//! summaries: Welch from moments, Mann-Whitney as a linear merge of
+//! two sorted arrays. [`TransferabilityReport::assess`] and
+//! [`member_rows`] run the same code for one pair, so every cell equals
+//! their result bit for bit.
+//!
+//! Cell assessment is a pure function of the prepared suites and runs
+//! under deterministic chunked parallelism — worker `w` takes cells
+//! `w, w + n, w + 2n, …` and results are assembled in cell-index
 //! order, so the matrix is bit-identical for every thread count.
 
-use crate::{Result, TransferConfig, TransferError, TransferabilityReport};
+use crate::{
+    DatasetSummary, PreparedModel, Result, TransferConfig, TransferError, TransferabilityReport,
+};
 use modeltree::ModelTree;
 use perfcounters::Dataset;
 use pipeline::{
@@ -122,7 +136,7 @@ pub struct SuiteArtifacts {
 
 /// One per-member evaluation row: a train-suite model applied to fresh
 /// samples of one member benchmark of a test suite.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemberRow {
     /// The member benchmark's name.
     pub benchmark: String,
@@ -134,7 +148,7 @@ pub struct MemberRow {
 
 /// One cell of the matrix: the full pairwise assessment plus the
 /// member-transfer sub-rows for the same (train, test) pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatrixCell {
     /// The suite the model was trained on.
     pub train: SuiteKind,
@@ -208,15 +222,25 @@ pub fn member_datasets(
 ///
 /// # Errors
 ///
-/// Returns [`TransferError::Stats`] if a member set is empty.
+/// Returns [`TransferError::Stats`] if a member set has fewer than 2
+/// samples.
 pub fn member_rows(
     tree: &ModelTree,
     members: &[(String, Arc<Dataset>)],
     thresholds: &AcceptanceThresholds,
 ) -> Result<Vec<MemberRow>> {
+    score_members(&PreparedModel::new(tree), members, thresholds)
+}
+
+/// [`member_rows`] with an already-compiled model.
+fn score_members(
+    model: &PreparedModel,
+    members: &[(String, Arc<Dataset>)],
+    thresholds: &AcceptanceThresholds,
+) -> Result<Vec<MemberRow>> {
     let mut rows = Vec::with_capacity(members.len());
     for (name, data) in members {
-        let metrics = PredictionMetrics::from_predictions(&tree.predict_all(data), &data.cpis())?;
+        let metrics = PredictionMetrics::from_predictions(&model.predict(data), data.cpi_column())?;
         rows.push(MemberRow {
             benchmark: name.clone(),
             transferable: metrics.acceptable(thresholds),
@@ -227,36 +251,60 @@ pub fn member_rows(
 }
 
 /// The member row with the largest MAE, if any (the model's weakest
-/// coverage of the test suite).
+/// coverage of the test suite). MAE is ordered by [`f64::total_cmp`],
+/// so the pick never depends on row order except among exact ties,
+/// which go to the last tied row. An MAE is a mean of absolute values,
+/// so a NaN one is a positive NaN and ranks above every number.
 pub fn hardest_member(rows: &[MemberRow]) -> Option<&MemberRow> {
-    rows.iter().max_by(|a, b| {
-        a.metrics
-            .mae
-            .partial_cmp(&b.metrics.mae)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    })
+    rows.iter()
+        .max_by(|a, b| a.metrics.mae.total_cmp(&b.metrics.mae))
 }
 
-/// Assesses one (train, test) cell from already-resolved artifacts — a
-/// pure function, safe to run on any worker.
+/// One suite made ready for its cells: the train tree compiled once
+/// and the train and rest sets summarized once.
+struct PreparedSuite<'a> {
+    artifacts: &'a SuiteArtifacts,
+    model: PreparedModel,
+    train: DatasetSummary<'a>,
+    rest: DatasetSummary<'a>,
+}
+
+impl<'a> PreparedSuite<'a> {
+    fn new(artifacts: &'a SuiteArtifacts, config: &TransferConfig) -> Result<Self> {
+        Ok(PreparedSuite {
+            artifacts,
+            model: PreparedModel::new(&artifacts.tree),
+            train: DatasetSummary::new(&artifacts.train, config)?,
+            rest: DatasetSummary::new(&artifacts.rest, config)?,
+        })
+    }
+}
+
+/// Assesses one (train, test) cell from prepared suites — a pure
+/// function, safe to run on any worker.
 fn assess_cell(
-    train: &SuiteArtifacts,
-    test: &SuiteArtifacts,
+    train: &PreparedSuite,
+    test: &PreparedSuite,
     spec: &MatrixSpec,
 ) -> Result<MatrixCell> {
     let pct = (spec.train_fraction * 100.0).round();
-    let report = TransferabilityReport::assess(
-        &train.tree,
+    let (train_kind, test_kind) = (train.artifacts.kind, test.artifacts.kind);
+    let report = TransferabilityReport::assess_prepared(
+        &train.model,
         &train.train,
         &test.rest,
-        &format!("{} ({pct:.0}%)", train.kind.display_name()),
-        &format!("{} (rest)", test.kind.display_name()),
+        &format!("{} ({pct:.0}%)", train_kind.display_name()),
+        &format!("{} (rest)", test_kind.display_name()),
         &spec.config,
     )?;
-    let members = member_rows(&train.tree, &test.members, &spec.config.thresholds)?;
+    let members = score_members(
+        &train.model,
+        &test.artifacts.members,
+        &spec.config.thresholds,
+    )?;
     Ok(MatrixCell {
-        train: train.kind,
-        test: test.kind,
+        train: train_kind,
+        test: test_kind,
         report,
         members,
     })
@@ -267,11 +315,13 @@ impl TransferMatrix {
     ///
     /// Stage 1 resolves every suite's artifacts through `ctx` serially
     /// (generation and fitting are already internally parallel and
-    /// cache-backed). Stage 2 assesses the N² cells under deterministic
-    /// chunked parallelism across `n_threads` workers: worker `w`
-    /// stripes over cell indices `w, w + n, …`, and the results are
-    /// assembled in index order, so the output is bit-identical for
-    /// every thread count.
+    /// cache-backed), then prepares each suite once: its tree compiled
+    /// and its train and rest sets summarized. Stage 2 assesses the N²
+    /// cells from the prepared suites under deterministic chunked
+    /// parallelism across `n_threads` workers: worker `w` stripes over
+    /// cell indices `w, w + n, …`, and the results are assembled in
+    /// index order, so the output is bit-identical for every thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -288,33 +338,42 @@ impl TransferMatrix {
             .iter()
             .map(|&kind| suite_artifacts(ctx, spec, kind))
             .collect::<Result<Vec<_>>>()?;
-        let n = artifacts.len();
+        let prepared = artifacts
+            .iter()
+            .map(|a| PreparedSuite::new(a, &spec.config))
+            .collect::<Result<Vec<_>>>()?;
+        let n = prepared.len();
         let n_cells = n * n;
         let workers = n_threads.max(1).min(n_cells.max(1));
-        let mut slots: Vec<Option<Result<MatrixCell>>> = Vec::new();
-        slots.resize_with(n_cells, || None);
-        if workers <= 1 {
-            for (idx, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(assess_cell(&artifacts[idx / n], &artifacts[idx % n], spec));
-            }
+        let cell = |idx: usize| {
+            (
+                idx,
+                assess_cell(&prepared[idx / n], &prepared[idx % n], spec),
+            )
+        };
+        let mut assessed: Vec<(usize, Result<MatrixCell>)> = if workers <= 1 {
+            (0..n_cells).map(cell).collect()
         } else {
-            let chunks = stripe_slots(&mut slots, workers);
             std::thread::scope(|scope| {
-                for (w, chunk) in chunks.into_iter().enumerate() {
-                    let artifacts = &artifacts;
-                    scope.spawn(move || {
-                        for (k, slot) in chunk.into_iter().enumerate() {
-                            let idx = w + k * workers;
-                            *slot =
-                                Some(assess_cell(&artifacts[idx / n], &artifacts[idx % n], spec));
-                        }
-                    });
-                }
-            });
-        }
-        let cells = slots
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let cell = &cell;
+                        scope.spawn(move || {
+                            (w..n_cells).step_by(workers).map(cell).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                // A worker's panic resumes here, as `scope` would raise it.
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
+        assessed.sort_unstable_by_key(|&(idx, _)| idx);
+        let cells = assessed
             .into_iter()
-            .map(|slot| slot.expect("every cell assessed"))
+            .map(|(_, cell)| cell)
             .collect::<Result<Vec<_>>>()?;
         Ok(TransferMatrix {
             spec: spec.clone(),
@@ -338,16 +397,6 @@ impl TransferMatrix {
     pub fn row(&self, train: SuiteKind) -> Vec<&MatrixCell> {
         self.cells.iter().filter(|c| c.train == train).collect()
     }
-}
-
-/// Splits `slots` into `workers` striped borrows: stripe `w` holds
-/// mutable references to slots `w, w + workers, w + 2·workers, …`.
-fn stripe_slots<T>(slots: &mut [T], workers: usize) -> Vec<Vec<&mut T>> {
-    let mut stripes: Vec<Vec<&mut T>> = (0..workers).map(|_| Vec::new()).collect();
-    for (idx, slot) in slots.iter_mut().enumerate() {
-        stripes[idx % workers].push(slot);
-    }
-    stripes
 }
 
 #[cfg(test)]
@@ -407,25 +456,84 @@ mod tests {
         assert!(far.report.metrics.mae > same.report.metrics.mae);
     }
 
-    #[test]
-    fn matrix_is_bit_identical_across_thread_counts() {
-        let spec = tiny_spec();
-        let baseline = TransferMatrix::assess_all(&PipelineContext::ephemeral(), &spec, 1).unwrap();
-        for threads in [2, 8] {
-            let other =
-                TransferMatrix::assess_all(&PipelineContext::ephemeral(), &spec, threads).unwrap();
-            assert_eq!(baseline.cells.len(), other.cells.len());
-            for (a, b) in baseline.cells.iter().zip(&other.cells) {
-                assert_eq!(a.train, b.train);
-                assert_eq!(a.test, b.test);
-                assert_eq!(a.report, b.report, "{threads} threads diverged");
-                assert_eq!(a.members.len(), b.members.len());
-                for (ra, rb) in a.members.iter().zip(&b.members) {
-                    assert_eq!(ra.benchmark, rb.benchmark);
-                    assert_eq!(ra.metrics, rb.metrics);
-                }
+    /// The matrix as the one-shot API computes it: for every pair,
+    /// `TransferabilityReport::assess` plus `member_rows`, recompiling
+    /// and re-summarizing per call.
+    fn one_shot_cells(spec: &MatrixSpec) -> Vec<MatrixCell> {
+        let ctx = PipelineContext::ephemeral();
+        let artifacts: Vec<SuiteArtifacts> = spec
+            .suites
+            .iter()
+            .map(|&kind| suite_artifacts(&ctx, spec, kind).unwrap())
+            .collect();
+        let pct = (spec.train_fraction * 100.0).round();
+        let mut cells = Vec::new();
+        for train in &artifacts {
+            for test in &artifacts {
+                let report = TransferabilityReport::assess(
+                    &train.tree,
+                    &train.train,
+                    &test.rest,
+                    &format!("{} ({pct:.0}%)", train.kind.display_name()),
+                    &format!("{} (rest)", test.kind.display_name()),
+                    &spec.config,
+                )
+                .unwrap();
+                let members =
+                    member_rows(&train.tree, &test.members, &spec.config.thresholds).unwrap();
+                cells.push(MatrixCell {
+                    train: train.kind,
+                    test: test.kind,
+                    report,
+                    members,
+                });
             }
         }
+        cells
+    }
+
+    #[test]
+    fn matrix_is_bit_identical_across_thread_counts() {
+        // Every cell of the prepared-suite path equals the one-shot API
+        // for the same pair, on every thread count.
+        let spec = tiny_spec();
+        let expected = one_shot_cells(&spec);
+        for threads in [1, 2, 8] {
+            let matrix =
+                TransferMatrix::assess_all(&PipelineContext::ephemeral(), &spec, threads).unwrap();
+            assert_eq!(matrix.cells, expected, "{threads} threads diverged");
+        }
+    }
+
+    fn member(name: &str, mae: f64) -> MemberRow {
+        MemberRow {
+            benchmark: name.to_owned(),
+            metrics: PredictionMetrics {
+                correlation: 0.9,
+                mae,
+                rmse: mae,
+                relative_absolute_error: 0.5,
+                mean_predicted: 1.0,
+                mean_actual: 1.0,
+                n: 10,
+            },
+            transferable: mae <= 0.15,
+        }
+    }
+
+    #[test]
+    fn hardest_member_is_order_independent_with_nan_and_ties() {
+        // A NaN MAE ranks above every number wherever it sits.
+        let rows = [member("a", 0.2), member("nan", f64::NAN), member("b", 0.4)];
+        for rotation in 0..rows.len() {
+            let mut rotated = rows.to_vec();
+            rotated.rotate_left(rotation);
+            assert_eq!(hardest_member(&rotated).unwrap().benchmark, "nan");
+        }
+        // Exact ties go to the last tied row.
+        let tied = [member("x", 0.3), member("low", 0.1), member("y", 0.3)];
+        assert_eq!(hardest_member(&tied).unwrap().benchmark, "y");
+        assert!(hardest_member(&[]).is_none());
     }
 
     #[test]
