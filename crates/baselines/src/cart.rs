@@ -86,8 +86,8 @@ impl RegressionTree {
     }
 
     fn grow(&mut self, data: &Dataset, indices: Vec<usize>, depth: usize) -> usize {
-        let mean =
-            indices.iter().map(|&i| data.sample(i).cpi()).sum::<f64>() / indices.len() as f64;
+        let cpi = data.cpi_column();
+        let mean = indices.iter().map(|&i| cpi[i]).sum::<f64>() / indices.len() as f64;
         let stop = depth >= self.config.max_depth || indices.len() < 2 * self.config.min_leaf;
         let split = if stop {
             None
@@ -100,9 +100,9 @@ impl RegressionTree {
                 self.nodes.len() - 1
             }
             Some((event, threshold)) => {
-                let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-                    .iter()
-                    .partition(|&&i| data.sample(i).get(event) <= threshold);
+                let column = data.event_column(event);
+                let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
+                    indices.iter().partition(|&&i| column[i] <= threshold);
                 let slot = self.nodes.len();
                 self.nodes.push(CartNode::Leaf { value: mean }); // placeholder
                 let left = self.grow(data, left_idx, depth + 1);
@@ -127,11 +127,12 @@ fn best_variance_split(
     min_leaf: usize,
 ) -> Option<(EventId, f64)> {
     let n = indices.len();
-    let total_sum: f64 = indices.iter().map(|&i| data.sample(i).cpi()).sum();
+    let cpi = data.cpi_column();
+    let total_sum: f64 = indices.iter().map(|&i| cpi[i]).sum();
     let total_sum_sq: f64 = indices
         .iter()
         .map(|&i| {
-            let y = data.sample(i).cpi();
+            let y = cpi[i];
             y * y
         })
         .sum();
@@ -144,10 +145,8 @@ fn best_variance_split(
     let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(n);
     for event in EventId::ALL {
         pairs.clear();
-        pairs.extend(indices.iter().map(|&i| {
-            let s = data.sample(i);
-            (s.get(event), s.cpi())
-        }));
+        let column = data.event_column(event);
+        pairs.extend(indices.iter().map(|&i| (column[i], cpi[i])));
         pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
         if pairs[0].0 == pairs[n - 1].0 {
             continue;

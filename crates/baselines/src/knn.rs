@@ -1,7 +1,7 @@
 //! k-nearest-neighbor regression baseline.
 
 use crate::{BaselineError, Regressor, Result};
-use perfcounters::events::N_EVENTS;
+use perfcounters::events::{EventId, N_EVENTS};
 use perfcounters::{Dataset, Sample};
 use serde::{Deserialize, Serialize};
 
@@ -39,11 +39,8 @@ impl KnnRegressor {
             )));
         }
         let mut scales = [1.0; N_EVENTS];
-        for (i, scale) in scales.iter_mut().enumerate() {
-            let col: Vec<f64> = (0..data.len())
-                .map(|r| data.sample(r).densities()[i])
-                .collect();
-            let sd = mathkit::describe::std_dev(&col).unwrap_or(0.0);
+        for (e, scale) in EventId::ALL.into_iter().zip(scales.iter_mut()) {
+            let sd = mathkit::describe::std_dev(data.event_column(e)).unwrap_or(0.0);
             *scale = if sd > 0.0 { 1.0 / sd } else { 0.0 };
         }
         let features: Vec<[f64; N_EVENTS]> = (0..data.len())
@@ -141,7 +138,7 @@ mod tests {
         let knn = KnnRegressor::fit(&ds, 1).unwrap();
         for i in 0..20 {
             let s = ds.sample(i);
-            assert_eq!(knn.predict(s), s.cpi());
+            assert_eq!(knn.predict(&s), s.cpi());
         }
     }
 

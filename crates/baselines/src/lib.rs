@@ -54,7 +54,7 @@ pub trait Regressor {
     /// Predictions for every sample of a dataset.
     fn predict_all(&self, data: &Dataset) -> Vec<f64> {
         (0..data.len())
-            .map(|i| self.predict(data.sample(i)))
+            .map(|i| self.predict(&data.sample(i)))
             .collect()
     }
 
@@ -66,7 +66,7 @@ pub trait Regressor {
         let sum: f64 = (0..data.len())
             .map(|i| {
                 let s = data.sample(i);
-                (self.predict(s) - s.cpi()).abs()
+                (self.predict(&s) - s.cpi()).abs()
             })
             .sum();
         sum / data.len() as f64

@@ -37,19 +37,21 @@ impl OlsRegressor {
         // Constant columns (e.g. events a workload never triggers) make
         // the design rank deficient; drop them up front and give them a
         // zero coefficient.
-        let varying: Vec<usize> = (0..N_EVENTS)
-            .filter(|&c| {
-                let first = data.sample(0).densities()[c];
-                (1..n).any(|r| data.sample(r).densities()[c] != first)
+        let varying: Vec<EventId> = EventId::ALL
+            .into_iter()
+            .filter(|&e| {
+                let col = data.event_column(e);
+                col[1..].iter().any(|&v| v != col[0])
             })
             .collect();
 
         let mut design = Matrix::zeros(n, varying.len() + 1);
         for r in 0..n {
             design[(r, 0)] = 1.0;
-            let densities = data.sample(r).densities();
-            for (j, &c) in varying.iter().enumerate() {
-                design[(r, j + 1)] = densities[c];
+        }
+        for (j, &e) in varying.iter().enumerate() {
+            for (r, &v) in data.event_column(e).iter().enumerate() {
+                design[(r, j + 1)] = v;
             }
         }
         let y = data.cpis();
@@ -64,8 +66,8 @@ impl OlsRegressor {
             }
         };
         let mut coefficients = [0.0; N_EVENTS];
-        for (j, &c) in varying.iter().enumerate() {
-            coefficients[c] = beta[j + 1];
+        for (j, &e) in varying.iter().enumerate() {
+            coefficients[e.index()] = beta[j + 1];
         }
         Ok(OlsRegressor {
             intercept: beta[0],

@@ -42,17 +42,15 @@ impl PcaModel {
         );
         let n = data.len() as f64;
         let mut mean = [0.0; N_EVENTS];
-        for i in 0..data.len() {
-            for (m, d) in mean.iter_mut().zip(data.sample(i).densities()) {
+        for (m, e) in mean.iter_mut().zip(EventId::ALL) {
+            for d in data.event_column(e) {
                 *m += d;
             }
-        }
-        for m in mean.iter_mut() {
             *m /= n;
         }
         let mut var = [0.0; N_EVENTS];
-        for i in 0..data.len() {
-            for ((v, d), m) in var.iter_mut().zip(data.sample(i).densities()).zip(&mean) {
+        for ((v, m), e) in var.iter_mut().zip(&mean).zip(EventId::ALL) {
+            for d in data.event_column(e) {
                 *v += (d - m) * (d - m);
             }
         }
@@ -64,8 +62,8 @@ impl PcaModel {
 
         // Correlation matrix of the standardized columns.
         let mut corr = Matrix::zeros(N_EVENTS, N_EVENTS);
-        for i in 0..data.len() {
-            let d = data.sample(i).densities();
+        for (sample, _) in data.iter() {
+            let d = sample.densities();
             let z: Vec<f64> = (0..N_EVENTS).map(|c| (d[c] - mean[c]) * scale[c]).collect();
             for a in 0..N_EVENTS {
                 if z[a] == 0.0 {
@@ -141,7 +139,7 @@ impl PcaModel {
         let mut sums = vec![vec![0.0; k]; nb];
         let mut counts = vec![0usize; nb];
         for (sample, label) in data.iter() {
-            let p = self.project(sample);
+            let p = self.project(&sample);
             for (s, v) in sums[label as usize].iter_mut().zip(&p) {
                 *s += v;
             }

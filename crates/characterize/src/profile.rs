@@ -107,7 +107,7 @@ impl ProfileTable {
         let mut totals = vec![0usize; n_benchmarks];
         let mut suite_counts = vec![0usize; n_leaves];
         let classes = tree.compile().classify_batch(data);
-        for ((_, label), lm) in data.iter().zip(classes) {
+        for (&label, lm) in data.columns().labels().iter().zip(classes) {
             let lm = lm as usize - 1;
             counts[label as usize][lm] += 1;
             totals[label as usize] += 1;

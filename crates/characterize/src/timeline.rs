@@ -178,7 +178,7 @@ mod tests {
             ds.push(s, b);
         }
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-        let samples: Vec<Sample> = (0..20).map(|i| ds.sample(i).clone()).collect();
+        let samples: Vec<Sample> = (0..20).map(|i| ds.sample(i)).collect();
         let t = ClassTimeline::classify(&tree, &samples);
         assert_eq!(t.len(), 20);
         // Alternating samples -> alternating classes -> run length 1.

@@ -31,8 +31,9 @@
 
 use characterize::{greedy_subset, kmeans_subset, ProfileTable, SimilarityMatrix};
 use modeltree::{display, k_fold, M5Config, ModelTree};
-use perfcounters::Dataset;
+use perfcounters::{Dataset, Sample};
 use pipeline::{ArtifactStore, DatasetSpec, PipelineContext, RngStreams, SuiteKind};
+use serde::{Deserialize, Serialize};
 use spec_stats::PredictionMetrics;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -134,9 +135,25 @@ pub fn read_dataset(path: &str) -> Result<Dataset> {
         "arff" => {
             perfcounters::arff::from_arff(reader).map_err(|e| CliError(format!("{path}: {e}")))
         }
-        "json" => serde_json::from_reader(reader).map_err(|e| CliError(format!("{path}: {e}"))),
+        "json" => serde_json::from_reader(reader)
+            .map_err(|e| CliError(format!("{path}: {e}")))
+            .and_then(|rows: DatasetJson| {
+                Dataset::from_parts(rows.samples, rows.labels, rows.benchmarks)
+                    .map_err(|e| CliError(format!("{path}: {e}")))
+            }),
         other => Err(CliError(format!("unsupported dataset extension .{other}"))),
     }
+}
+
+/// A `.json` dataset file: the rows, their labels and the benchmark
+/// name table. Reads go through [`Dataset::from_parts`], so a file with
+/// mismatched lengths, a duplicate name or a label past the name table
+/// is an error rather than a dataset.
+#[derive(Serialize, Deserialize)]
+struct DatasetJson {
+    samples: Vec<Sample>,
+    labels: Vec<u32>,
+    benchmarks: Vec<String>,
 }
 
 /// Writes a dataset by file extension (`.csv`, `.arff`, `.json`).
@@ -155,7 +172,13 @@ pub fn write_dataset(data: &Dataset, path: &str) -> Result<()> {
         "arff" => perfcounters::arff::to_arff(data, "spec_dataset", &mut writer)
             .map_err(|e| CliError(format!("{path}: {e}"))),
         "json" => {
-            serde_json::to_writer(&mut writer, data).map_err(|e| CliError(format!("{path}: {e}")))
+            let (samples, labels) = data.iter().unzip();
+            let rows = DatasetJson {
+                samples,
+                labels,
+                benchmarks: data.benchmark_names().to_vec(),
+            };
+            serde_json::to_writer(&mut writer, &rows).map_err(|e| CliError(format!("{path}: {e}")))
         }
         other => Err(CliError(format!("unsupported dataset extension .{other}"))),
     }
@@ -323,7 +346,7 @@ pub fn cmd_predict(flags: &Flags) -> Result<String> {
             .with_n_threads(parse_threads(flags)?)
             .predict_batch(&data),
         "interpreted" => (0..data.len())
-            .map(|i| tree.predict(data.sample(i)))
+            .map(|i| tree.predict(&data.sample(i)))
             .collect(),
         other => {
             return Err(CliError(format!(
@@ -454,7 +477,7 @@ pub fn cmd_explain(flags: &Flags) -> Result<String> {
         data.benchmark_name(data.label(row)).unwrap_or("?"),
         sample.cpi()
     );
-    let explanation = tree.explain(sample);
+    let explanation = tree.explain(&sample);
     out.push_str(&explanation.to_string());
     // The compiled engine's effective equation for this leaf: the whole
     // smoothing chain collapsed into one linear model.
@@ -1219,6 +1242,31 @@ mod tests {
         assert!(read_dataset("/nonexistent/file.csv").is_err());
         assert!(read_dataset("/nonexistent/file.xyz").is_err());
         assert!(extension("noext").is_err());
+    }
+
+    #[test]
+    fn json_datasets_round_trip_and_are_validated() {
+        let dir = std::env::temp_dir().join(format!("specrepro-cli-json-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let mut data = Dataset::new();
+        let label = data.add_benchmark("429.mcf");
+        data.push(Sample::zeros(-0.0), label);
+        data.push(Sample::zeros(2.5), label);
+        write_dataset(&data, &path("d.json")).unwrap();
+        assert_eq!(read_dataset(&path("d.json")).unwrap(), data);
+
+        // A label past the name table, or more labels than samples, is
+        // an error rather than a dataset.
+        let zeros = vec!["0"; perfcounters::events::N_EVENTS].join(",");
+        let row = format!(r#"{{"cpi":1.0,"densities":[{zeros}]}}"#);
+        for (name, labels) in [("range.json", "[1]"), ("count.json", "[0,0]")] {
+            let text = format!(r#"{{"samples":[{row}],"labels":{labels},"benchmarks":["a"]}}"#);
+            std::fs::write(path(name), text).unwrap();
+            let err = read_dataset(&path(name)).unwrap_err();
+            assert!(err.0.contains("parse error"), "{name}: {}", err.0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

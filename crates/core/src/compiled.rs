@@ -145,7 +145,7 @@ pub enum Precision {
 /// let engine = tree.compile();
 /// let batch = engine.predict_batch(&ds);
 /// for (i, &p) in batch.iter().enumerate() {
-///     assert!((p - tree.predict(ds.sample(i))).abs() < 1e-10);
+///     assert!((p - tree.predict(&ds.sample(i))).abs() < 1e-10);
 /// }
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1771,8 +1771,8 @@ mod tests {
         assert_eq!(engine.n_leaves(), tree.n_leaves());
         for i in 0..ds.len() {
             let s = ds.sample(i);
-            let a = tree.predict(s);
-            let b = engine.predict(s);
+            let a = tree.predict(&s);
+            let b = engine.predict(&s);
             assert!((a - b).abs() < 1e-10, "sample {i}: {a} vs {b}");
         }
     }
@@ -1786,7 +1786,7 @@ mod tests {
             let s = ds.sample(i);
             // Without smoothing the folded model IS the leaf model:
             // identical arithmetic, hence identical bits.
-            assert_eq!(tree.predict(s).to_bits(), engine.predict(s).to_bits());
+            assert_eq!(tree.predict(&s).to_bits(), engine.predict(&s).to_bits());
         }
     }
 
@@ -1798,8 +1798,8 @@ mod tests {
         let batch = engine.classify_batch(&ds);
         for (i, &lm) in batch.iter().enumerate() {
             let s = ds.sample(i);
-            assert_eq!(engine.classify(s), tree.classify(s));
-            assert_eq!(lm as usize, tree.classify(s));
+            assert_eq!(engine.classify(&s), tree.classify(&s));
+            assert_eq!(lm as usize, tree.classify(&s));
         }
     }
 
@@ -1810,7 +1810,7 @@ mod tests {
         let engine = tree.compile();
         let batch = engine.predict_batch(&ds);
         for (i, &p) in batch.iter().enumerate() {
-            assert_eq!(p.to_bits(), engine.predict(ds.sample(i)).to_bits());
+            assert_eq!(p.to_bits(), engine.predict(&ds.sample(i)).to_bits());
         }
     }
 
@@ -1889,8 +1889,8 @@ mod tests {
             // The analytic bound covers samples that descend to the
             // same leaf; threshold-proximal rows may legitimately land
             // in an adjacent leaf (none do on this dataset's scale).
-            if exact.classify(s) == fast.classify(s) {
-                let bound = fast.f32_error_bound(s).unwrap();
+            if exact.classify(&s) == fast.classify(&s) {
+                let bound = fast.f32_error_bound(&s).unwrap();
                 let err = (p64[i] - p32[i]).abs();
                 assert!(err <= bound, "row {i}: err {err} > bound {bound}");
                 checked += 1;
@@ -1900,7 +1900,7 @@ mod tests {
             checked > ds.len() * 9 / 10,
             "only {checked} rows comparable"
         );
-        assert!(exact.f32_error_bound(ds.sample(0)).is_none());
+        assert!(exact.f32_error_bound(&ds.sample(0)).is_none());
     }
 
     #[test]
@@ -1912,8 +1912,8 @@ mod tests {
         let classes = fast.classify_batch(&ds);
         for i in 0..ds.len() {
             let s = ds.sample(i);
-            assert_eq!(batch[i].to_bits(), fast.predict(s).to_bits(), "row {i}");
-            assert_eq!(classes[i] as usize, fast.classify(s), "row {i}");
+            assert_eq!(batch[i].to_bits(), fast.predict(&s).to_bits(), "row {i}");
+            assert_eq!(classes[i] as usize, fast.classify(&s), "row {i}");
         }
         let indices: Vec<u32> = (0..ds.len() as u32).step_by(5).collect();
         let sel = fast.predict_indices(&ds, &indices);
@@ -1940,7 +1940,7 @@ mod tests {
         for (j, &i) in indices.iter().enumerate() {
             assert_eq!(
                 subset[j].to_bits(),
-                engine.predict(ds.sample(i as usize)).to_bits()
+                engine.predict(&ds.sample(i as usize)).to_bits()
             );
         }
     }
@@ -1953,8 +1953,8 @@ mod tests {
         let engine = tree.compile();
         assert_eq!(engine.n_nodes(), 1);
         let s = ds.sample(0);
-        assert_eq!(engine.predict(s).to_bits(), tree.predict(s).to_bits());
-        assert_eq!(engine.classify(s), 1);
+        assert_eq!(engine.predict(&s).to_bits(), tree.predict(&s).to_bits());
+        assert_eq!(engine.classify(&s), 1);
         // The SIMD kernels handle a splitless tree (no used columns)
         // and a single-row dataset.
         let simd = tree.compile().with_simd(true);
@@ -1996,9 +1996,9 @@ mod tests {
         let engine = tree.compile();
         for i in (0..ds.len()).step_by(97) {
             let s = ds.sample(i);
-            let lm = engine.classify(s);
+            let lm = engine.classify(&s);
             let model = engine.folded_model(lm).unwrap();
-            assert!((model.predict(s) - engine.predict(s)).abs() < 1e-12);
+            assert!((model.predict(&s) - engine.predict(&s)).abs() < 1e-12);
         }
     }
 

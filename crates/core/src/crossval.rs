@@ -88,7 +88,7 @@ fn mean(xs: &[f64]) -> f64 {
 /// The dataset is shuffled once with the given seed and partitioned into
 /// `k` near-equal folds; each fold in turn serves as the test set for a
 /// tree trained on the others. Folds are **index views** over the
-/// dataset's shared columnar cache — no samples are copied: training
+/// dataset's columns — no samples are copied: training
 /// uses [`ModelTree::fit_indices`] and evaluation runs the compiled
 /// engine's indexed batch prediction.
 ///

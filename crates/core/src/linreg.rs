@@ -115,7 +115,7 @@ impl LinearModel {
             .iter()
             .map(|&i| {
                 let s = data.sample(i);
-                (self.predict(s) - s.cpi()).abs()
+                (self.predict(&s) - s.cpi()).abs()
             })
             .sum();
         sum / indices.len() as f64

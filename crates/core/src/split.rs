@@ -171,8 +171,7 @@ pub struct Columns<'a> {
 }
 
 impl<'a> Columns<'a> {
-    /// Borrows the columnar view of `data` (building the dataset's
-    /// column cache on first use).
+    /// Borrows the columns of `data` (its storage; nothing is copied).
     pub fn new(data: &'a Dataset) -> Columns<'a> {
         Columns {
             events: EventId::ALL.iter().map(|&e| data.event_column(e)).collect(),
@@ -688,8 +687,8 @@ pub fn find_best_split(
 }
 
 /// [`find_best_split`] with the threshold-scan kernel chosen
-/// explicitly: `use_simd` selects the vectorized [`scan_attribute_simd`]
-/// or the scalar [`scan_attribute`] oracle. Both produce bit-identical
+/// explicitly: `use_simd` selects the vectorized `scan_attribute_simd`
+/// or the scalar `scan_attribute` oracle. Both produce bit-identical
 /// splits — this entry point exists so tests and benchmarks can A/B the
 /// two in one process regardless of `SPECREPRO_NO_SIMD`.
 pub fn find_best_split_with(

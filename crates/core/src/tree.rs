@@ -1015,9 +1015,9 @@ mod tests {
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
         for i in 0..ds.len() {
             let s = ds.sample(i);
-            let leaf = tree.leaf_of(s);
+            let leaf = tree.leaf_of(&s);
             match tree.node(leaf).kind {
-                NodeKind::Leaf { lm_index } => assert_eq!(lm_index, tree.classify(s)),
+                NodeKind::Leaf { lm_index } => assert_eq!(lm_index, tree.classify(&s)),
                 NodeKind::Split { .. } => panic!("leaf_of returned a split"),
             }
         }
@@ -1029,7 +1029,7 @@ mod tests {
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
         let mut counts = vec![0usize; tree.n_leaves() + 1];
         for i in 0..ds.len() {
-            counts[tree.classify(ds.sample(i))] += 1;
+            counts[tree.classify(&ds.sample(i))] += 1;
         }
         for leaf in tree.leaves() {
             assert_eq!(counts[leaf.lm_index], leaf.n_samples);
@@ -1045,8 +1045,8 @@ mod tests {
         let mut any_diff = false;
         for i in 0..test.len() {
             let s = test.sample(i);
-            let a = smoothed.predict(s);
-            let b = raw.predict(s);
+            let a = smoothed.predict(&s);
+            let b = raw.predict(&s);
             if (a - b).abs() > 1e-12 {
                 any_diff = true;
             }
@@ -1115,7 +1115,7 @@ mod tests {
         // contract is 1e-10 agreement with the interpreter.
         let all = tree.predict_all(&ds);
         for (i, &p) in all.iter().enumerate() {
-            let q = tree.predict(ds.sample(i));
+            let q = tree.predict(&ds.sample(i));
             assert!((p - q).abs() < 1e-10, "sample {i}: {p} vs {q}");
         }
         // Without smoothing the folded model IS the leaf model and the
@@ -1123,7 +1123,7 @@ mod tests {
         let raw = ModelTree::fit(&ds, &M5Config::default().with_smoothing(false)).unwrap();
         let all = raw.predict_all(&ds);
         for (i, &p) in all.iter().enumerate() {
-            assert_eq!(p.to_bits(), raw.predict(ds.sample(i)).to_bits());
+            assert_eq!(p.to_bits(), raw.predict(&ds.sample(i)).to_bits());
         }
     }
 
@@ -1135,7 +1135,7 @@ mod tests {
         let mut subset = Dataset::new();
         let b = subset.add_benchmark("synth");
         for &i in &indices {
-            subset.push(ds.sample(i as usize).clone(), b);
+            subset.push(ds.sample(i as usize), b);
         }
         let from_indices = ModelTree::fit_indices(&ds, &indices, &M5Config::default()).unwrap();
         let from_subset = ModelTree::fit(&subset, &M5Config::default()).unwrap();
@@ -1164,7 +1164,7 @@ mod tests {
         let back: ModelTree = serde_json::from_str(&json).unwrap();
         for i in 0..20 {
             let s = ds.sample(i);
-            assert!((back.predict(s) - tree.predict(s)).abs() < 1e-9);
+            assert!((back.predict(&s) - tree.predict(&s)).abs() < 1e-9);
         }
     }
 
@@ -1174,9 +1174,9 @@ mod tests {
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
         for i in (0..ds.len()).step_by(113) {
             let s = ds.sample(i);
-            let ex = tree.explain(s);
-            assert_eq!(ex.lm_index, tree.classify(s));
-            assert_eq!(ex.prediction, tree.predict(s));
+            let ex = tree.explain(&s);
+            assert_eq!(ex.lm_index, tree.classify(&s));
+            assert_eq!(ex.prediction, tree.predict(&s));
             // Every path step must be consistent with the sample.
             for step in &ex.path {
                 assert_eq!(step.went_left, step.value <= step.threshold);
@@ -1193,7 +1193,7 @@ mod tests {
     fn explain_single_leaf_has_empty_path() {
         let ds = regime_dataset(5, 19);
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-        let ex = tree.explain(ds.sample(0));
+        let ex = tree.explain(&ds.sample(0));
         assert!(ex.path.is_empty());
         assert_eq!(ex.lm_index, 1);
         assert_eq!(ex.raw_prediction, ex.prediction);

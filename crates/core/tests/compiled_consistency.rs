@@ -64,8 +64,8 @@ proptest! {
             prop_assert_eq!(engine.n_leaves(), tree.n_leaves());
             for i in 0..ds.len() {
                 let s = ds.sample(i);
-                let interpreted = tree.predict(s);
-                let compiled = engine.predict(s);
+                let interpreted = tree.predict(&s);
+                let compiled = engine.predict(&s);
                 if config.smoothing {
                     prop_assert!(
                         (interpreted - compiled).abs() < 1e-10,
@@ -76,7 +76,7 @@ proptest! {
                     // No smoothing: the folded model IS the leaf model.
                     prop_assert_eq!(interpreted.to_bits(), compiled.to_bits());
                 }
-                prop_assert_eq!(engine.classify(s), tree.classify(s));
+                prop_assert_eq!(engine.classify(&s), tree.classify(&s));
             }
         }
     }
@@ -94,7 +94,7 @@ proptest! {
         // The batch path must also agree bit-exactly with the engine's
         // own per-sample prediction.
         for (i, &p) in serial.iter().enumerate() {
-            prop_assert_eq!(p.to_bits(), engine.predict(ds.sample(i)).to_bits());
+            prop_assert_eq!(p.to_bits(), engine.predict(&ds.sample(i)).to_bits());
         }
         for threads in [2usize, 8] {
             let parallel = engine.clone().with_n_threads(threads).predict_batch(&ds);
@@ -120,7 +120,7 @@ proptest! {
             let classes = engine.clone().with_n_threads(threads).classify_batch(&ds);
             prop_assert_eq!(classes.len(), ds.len());
             for (i, &lm) in classes.iter().enumerate() {
-                prop_assert_eq!(lm as usize, tree.classify(ds.sample(i)));
+                prop_assert_eq!(lm as usize, tree.classify(&ds.sample(i)));
             }
         }
     }
@@ -174,6 +174,6 @@ fn serde_roundtrip_preserves_engine() {
     assert_eq!(back, engine);
     for i in 0..ds.len() {
         let s = ds.sample(i);
-        assert_eq!(back.predict(s).to_bits(), engine.predict(s).to_bits());
+        assert_eq!(back.predict(&s).to_bits(), engine.predict(&s).to_bits());
     }
 }

@@ -50,7 +50,7 @@ proptest! {
 
         // Predictions are finite everywhere on the training set.
         for i in 0..ds.len() {
-            let p = tree.predict(ds.sample(i));
+            let p = tree.predict(&ds.sample(i));
             prop_assert!(p.is_finite());
         }
     }
@@ -68,7 +68,7 @@ proptest! {
             loop {
                 match *tree.node(id).kind() {
                     NodeKind::Leaf { lm_index } => {
-                        prop_assert_eq!(lm_index, tree.classify(s));
+                        prop_assert_eq!(lm_index, tree.classify(&s));
                         break;
                     }
                     NodeKind::Split { event, threshold, left, right } => {
@@ -114,7 +114,7 @@ proptest! {
             - ds.cpis().iter().cloned().fold(f64::INFINITY, f64::min);
         for i in (0..ds.len()).step_by(11) {
             let s = ds.sample(i);
-            let d = (smoothed.predict(s) - raw.predict(s)).abs();
+            let d = (smoothed.predict(&s) - raw.predict(&s)).abs();
             prop_assert!(d <= spread + 1.0, "smoothing moved {d} vs spread {spread}");
         }
     }

@@ -10,7 +10,7 @@
 //!   lock-free counters, gauges, and log₂-bucketed histograms — nodes
 //!   expanded, SDR split evaluations, cache hits, bytes read, PMU
 //!   rotations, and so on.
-//! * **Spans** ([`span`], [`crate::span()`]): RAII scope timers that
+//! * **Spans** ([`span`](mod@span), [`crate::span()`]): RAII scope timers that
 //!   record Chrome `trace_event` complete events — per-phase trainer
 //!   timing (grow/prune/smooth-fold), batch-kernel timing, pipeline
 //!   stage timing.
@@ -36,7 +36,7 @@
 //! # The zero-overhead contract
 //!
 //! Instrumented hot paths pay exactly one `Ordering::Relaxed` load of
-//! [`STATE`] when telemetry is disabled — no clock reads, no
+//! `STATE` when telemetry is disabled — no clock reads, no
 //! allocation, no locks, no formatting. Instrumentation sits at
 //! phase/batch/artifact granularity (never per row or per threshold),
 //! so even fully enabled telemetry adds no per-row cost.

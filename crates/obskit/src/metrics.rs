@@ -2,7 +2,7 @@
 //! and log-scaled histograms.
 //!
 //! The registry is a closed schema, mirroring how the workspace treats
-//! PMU events ([`perfcounters::EventId`] style): every metric the
+//! PMU events (`perfcounters::EventId` style): every metric the
 //! instrumented crates emit is a variant of [`Metric`] or [`Hist`], and
 //! the backing storage is a static array of `AtomicU64` indexed by the
 //! variant. That buys three things over a name-keyed map:

@@ -1,7 +1,7 @@
 //! Scoped span timers, structured instant events, and the global trace
 //! buffer behind the Chrome-trace exporter.
 //!
-//! A [`Span`] is an RAII timer: created by [`crate::span`], it records
+//! A [`Span`] is an RAII timer: created by [`crate::span()`], it records
 //! a `trace_event` *complete* event (`"ph":"X"`) when dropped. When
 //! tracing is disabled the constructor returns an inert span — no
 //! clock read, no allocation, nothing on drop — so instrumentation
@@ -99,7 +99,7 @@ pub fn reset() {
 }
 
 /// An RAII span timer; see the [module docs](self). Obtain via
-/// [`crate::span`].
+/// [`crate::span()`].
 #[must_use = "a span measures the scope it is bound to; dropping it immediately records nothing"]
 pub struct Span {
     /// `None` when tracing was disabled at construction.

@@ -1,4 +1,17 @@
 //! Labeled collections of samples with splits, summaries, and I/O.
+//!
+//! A [`Dataset`] is stored column-major: its [`ColumnStore`] holds one
+//! contiguous `Vec<f64>` per Table-I event, the CPI column and the
+//! label column, all of one length, next to the benchmark name table.
+//! That is the layout the compiled engine, the trainer's split search
+//! and the transfer statistics read, and the layout `SPDS` and `SPDC`
+//! keep on disk, so decoders fill the columns in bulk
+//! ([`Dataset::from_columns`]) and a warm load never builds rows.
+//!
+//! [`Sample`] stays the row value type: [`Dataset::sample`] and
+//! [`Dataset::iter`] assemble rows on demand from the columns, and
+//! [`Dataset::push`] scatters one into them. Nothing is cached, so a
+//! dataset has exactly one copy of its data.
 
 use crate::events::{EventId, N_EVENTS};
 use crate::sample::Sample;
@@ -7,46 +20,69 @@ use mathkit::describe::Summary;
 use mathkit::matrix::Matrix;
 use mathkit::sampling::permutation;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Write};
-use std::sync::OnceLock;
 
-/// Column-major copy of a dataset's numeric content, built lazily and
-/// cached on the owning [`Dataset`].
+/// The storage of a [`Dataset`]: one contiguous column per event, the
+/// CPI (dependent-variable) column and the benchmark label column, all
+/// of the same length.
 ///
-/// Training-time inner loops (split search, node-model fitting) walk one
-/// event at a time across many samples; the row-major `Vec<Sample>`
-/// layout makes that a strided scatter. The column store keeps each
-/// event's densities — and the CPI target — as one contiguous `&[f64]`
-/// slice, so hot loops touch memory sequentially and never allocate.
-#[derive(Debug, Clone, PartialEq)]
+/// Training-time inner loops (split search, node-model fitting) and the
+/// compiled engine walk one event at a time across many samples; each
+/// column is one `&[f64]` slice, so hot loops touch memory sequentially
+/// and never allocate.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnStore {
-    /// Sample count (the length of every column).
-    n: usize,
-    /// All event columns, concatenated: column `e` occupies
-    /// `e.index() * n .. (e.index() + 1) * n`.
-    events: Vec<f64>,
-    /// The CPI (dependent-variable) column.
+    /// The CPI column.
     cpi: Vec<f64>,
+    /// Event columns, indexed by [`EventId::index`].
+    events: [Vec<f64>; N_EVENTS],
+    /// Benchmark label per sample (an index into the dataset's name
+    /// table).
+    labels: Vec<u32>,
 }
 
 impl ColumnStore {
-    fn build(samples: &[Sample]) -> ColumnStore {
-        let n = samples.len();
-        let mut events = vec![0.0; N_EVENTS * n];
-        let mut cpi = Vec::with_capacity(n);
-        for (i, s) in samples.iter().enumerate() {
-            cpi.push(s.cpi());
-            for (e, &v) in s.densities().iter().enumerate() {
-                events[e * n + i] = v;
-            }
+    fn with_capacity(n: usize) -> ColumnStore {
+        ColumnStore {
+            cpi: Vec::with_capacity(n),
+            events: std::array::from_fn(|_| Vec::with_capacity(n)),
+            labels: Vec::with_capacity(n),
         }
-        ColumnStore { n, events, cpi }
+    }
+
+    fn push(&mut self, sample: &Sample, label: u32) {
+        self.cpi.push(sample.cpi());
+        for (col, &v) in self.events.iter_mut().zip(sample.densities()) {
+            col.push(v);
+        }
+        self.labels.push(label);
+    }
+
+    /// Row `i` assembled from the columns.
+    fn row(&self, i: usize) -> Sample {
+        let mut sample = Sample::zeros(self.cpi[i]);
+        for (d, col) in sample.densities_mut().iter_mut().zip(&self.events) {
+            *d = col[i];
+        }
+        sample
+    }
+
+    /// A new store holding rows `rows`, in that order.
+    fn gather(&self, rows: &[usize]) -> ColumnStore {
+        fn pick<T: Copy>(col: &[T], rows: &[usize]) -> Vec<T> {
+            rows.iter().map(|&i| col[i]).collect()
+        }
+        ColumnStore {
+            cpi: pick(&self.cpi, rows),
+            events: std::array::from_fn(|e| pick(&self.events[e], rows)),
+            labels: pick(&self.labels, rows),
+        }
     }
 
     /// The contiguous density column for one event.
     pub fn event(&self, event: EventId) -> &[f64] {
-        &self.events[event.index() * self.n..(event.index() + 1) * self.n]
+        &self.events[event.index()]
     }
 
     /// The contiguous CPI column.
@@ -54,18 +90,24 @@ impl ColumnStore {
         &self.cpi
     }
 
+    /// The benchmark label column.
+    pub fn labels(&self) -> &[u32] {
+        &self.labels
+    }
+
     /// Number of samples (length of every column).
     pub fn len(&self) -> usize {
-        self.n
+        self.cpi.len()
     }
 
     /// True if the store holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.cpi.is_empty()
     }
 }
 
-/// A labeled dataset of observation intervals.
+/// A labeled dataset of observation intervals, stored column-major
+/// (see [`ColumnStore`]).
 ///
 /// Every sample carries a benchmark label (an index into the dataset's
 /// benchmark name table), mirroring how the paper attributes each
@@ -83,39 +125,12 @@ impl ColumnStore {
 /// ds.push(Sample::zeros(2.5), mcf);
 /// assert_eq!(ds.len(), 1);
 /// assert_eq!(ds.benchmark_name(mcf), Some("429.mcf"));
+/// assert_eq!(ds.sample(0), Sample::zeros(2.5));
 /// ```
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct Dataset {
-    samples: Vec<Sample>,
-    labels: Vec<u32>,
+    columns: ColumnStore,
     benchmarks: Vec<String>,
-    /// Lazily built columnar view (see [`ColumnStore`]). Purely derived
-    /// data: never serialized, never compared, dropped on clone, and
-    /// reset by every mutation.
-    #[serde(skip)]
-    columns: OnceLock<ColumnStore>,
-}
-
-// The column cache is derived state: two datasets are equal iff their
-// samples, labels, and benchmark tables are, regardless of which of them
-// has materialized its columns.
-impl PartialEq for Dataset {
-    fn eq(&self, other: &Self) -> bool {
-        self.samples == other.samples
-            && self.labels == other.labels
-            && self.benchmarks == other.benchmarks
-    }
-}
-
-impl Clone for Dataset {
-    fn clone(&self) -> Self {
-        Dataset {
-            samples: self.samples.clone(),
-            labels: self.labels.clone(),
-            benchmarks: self.benchmarks.clone(),
-            columns: OnceLock::new(),
-        }
-    }
 }
 
 impl Dataset {
@@ -127,18 +142,15 @@ impl Dataset {
     /// Creates an empty dataset with capacity for `n` samples.
     pub fn with_capacity(n: usize) -> Self {
         Dataset {
-            samples: Vec::with_capacity(n),
-            labels: Vec::with_capacity(n),
+            columns: ColumnStore::with_capacity(n),
             benchmarks: Vec::new(),
-            columns: OnceLock::new(),
         }
     }
 
     /// Rebuilds a dataset from raw parts: one sample per label (indexes
     /// into `benchmarks`), exactly as observable through
     /// [`Dataset::sample`], [`Dataset::label`], and
-    /// [`Dataset::benchmark_names`]. This is the constructor binary
-    /// deserializers use to reproduce a dataset bit-for-bit.
+    /// [`Dataset::benchmark_names`].
     ///
     /// # Errors
     ///
@@ -151,17 +163,51 @@ impl Dataset {
         labels: Vec<u32>,
         benchmarks: Vec<String>,
     ) -> Result<Dataset> {
-        if samples.len() != labels.len() {
+        check_row_count(samples.len(), labels.len())?;
+        let mut columns = ColumnStore::with_capacity(samples.len());
+        for (s, l) in samples.iter().zip(labels) {
+            columns.push(s, l);
+        }
+        let ColumnStore {
+            cpi,
+            events,
+            labels,
+        } = columns;
+        Dataset::from_columns(cpi, events, labels, benchmarks)
+    }
+
+    /// Builds a dataset from its columns: the CPI column, one column per
+    /// event (indexed by [`EventId::index`]), the label column, and the
+    /// benchmark name table. This is the constructor the binary
+    /// decoders use to reproduce a dataset bit for bit without building
+    /// rows.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DataError::Parse`] when the label column or an event
+    /// column is not as long as the CPI column, a label points past the
+    /// name table, or the name table contains a duplicate.
+    pub fn from_columns(
+        cpi: Vec<f64>,
+        events: [Vec<f64>; N_EVENTS],
+        labels: Vec<u32>,
+        benchmarks: Vec<String>,
+    ) -> Result<Dataset> {
+        check_row_count(cpi.len(), labels.len())?;
+        if let Some(e) = EventId::ALL
+            .into_iter()
+            .find(|e| events[e.index()].len() != cpi.len())
+        {
             return Err(DataError::Parse(format!(
-                "{} samples but {} labels",
-                samples.len(),
-                labels.len()
+                "event column {} holds {} values for {} samples",
+                e.short_name(),
+                events[e.index()].len(),
+                cpi.len()
             )));
         }
-        for (i, name) in benchmarks.iter().enumerate() {
-            if benchmarks[..i].contains(name) {
-                return Err(DataError::Parse(format!("duplicate benchmark {name:?}")));
-            }
+        let mut seen = HashSet::with_capacity(benchmarks.len());
+        if let Some(name) = benchmarks.iter().find(|name| !seen.insert(name.as_str())) {
+            return Err(DataError::Parse(format!("duplicate benchmark {name:?}")));
         }
         if let Some(bad) = labels.iter().find(|&&l| l as usize >= benchmarks.len()) {
             return Err(DataError::Parse(format!(
@@ -170,34 +216,28 @@ impl Dataset {
             )));
         }
         Ok(Dataset {
-            samples,
-            labels,
+            columns: ColumnStore {
+                cpi,
+                events,
+                labels,
+            },
             benchmarks,
-            columns: OnceLock::new(),
         })
     }
 
-    /// Drops the cached columnar view; called by every mutation.
-    fn invalidate_columns(&mut self) {
-        self.columns = OnceLock::new();
-    }
-
-    /// The columnar view of this dataset, built on first use and cached
-    /// until the next mutation. Costs one pass over the samples (and
-    /// `20 * len` doubles of memory) the first time; free afterwards.
+    /// The column storage of this dataset.
     pub fn columns(&self) -> &ColumnStore {
-        self.columns
-            .get_or_init(|| ColumnStore::build(&self.samples))
+        &self.columns
     }
 
     /// Borrow of one event's contiguous density column.
     pub fn event_column(&self, event: EventId) -> &[f64] {
-        self.columns().event(event)
+        self.columns.event(event)
     }
 
     /// Borrow of the contiguous CPI column.
     pub fn cpi_column(&self) -> &[f64] {
-        self.columns().cpi()
+        self.columns.cpi()
     }
 
     /// Registers a benchmark name, returning its label id. If the name is
@@ -210,39 +250,42 @@ impl Dataset {
         (self.benchmarks.len() - 1) as u32
     }
 
-    /// Appends a sample with the given benchmark label.
+    /// Appends a sample with the given benchmark label, one value to
+    /// each column.
     ///
     /// # Panics
     ///
-    /// Panics if `label` does not refer to a registered benchmark.
+    /// Panics if `label` does not refer to a registered benchmark. This
+    /// is an invariant of the caller, not of the data: labels come from
+    /// [`Dataset::add_benchmark`]. Untrusted input goes through
+    /// [`Dataset::from_columns`] or [`Dataset::from_parts`], which
+    /// return an error instead.
     pub fn push(&mut self, sample: Sample, label: u32) {
         assert!(
             (label as usize) < self.benchmarks.len(),
             "label {label} not registered ({} benchmarks)",
             self.benchmarks.len()
         );
-        self.invalidate_columns();
-        self.samples.push(sample);
-        self.labels.push(label);
+        self.columns.push(&sample, label);
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.columns.len()
     }
 
     /// True if the dataset holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.columns.is_empty()
     }
 
-    /// Borrow of sample `i`.
+    /// Sample `i`, assembled from the columns.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds.
-    pub fn sample(&self, i: usize) -> &Sample {
-        &self.samples[i]
+    pub fn sample(&self, i: usize) -> Sample {
+        self.columns.row(i)
     }
 
     /// Label of sample `i`.
@@ -251,7 +294,7 @@ impl Dataset {
     ///
     /// Panics if `i` is out of bounds.
     pub fn label(&self, i: usize) -> u32 {
-        self.labels[i]
+        self.columns.labels[i]
     }
 
     /// Name of a benchmark label, or `None` if unregistered.
@@ -269,9 +312,10 @@ impl Dataset {
         self.benchmarks.len()
     }
 
-    /// Iterator over `(sample, label)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&Sample, u32)> + '_ {
-        self.samples.iter().zip(self.labels.iter().copied())
+    /// Iterator over `(sample, label)` pairs, each sample assembled from
+    /// the columns.
+    pub fn iter(&self) -> impl Iterator<Item = (Sample, u32)> + '_ {
+        (0..self.len()).map(|i| (self.columns.row(i), self.columns.labels[i]))
     }
 
     /// The dependent-variable vector (CPI of each sample). Thin copying
@@ -287,12 +331,11 @@ impl Dataset {
     }
 
     /// The `n x N_EVENTS` feature matrix (no intercept column), filled
-    /// from the columnar view.
+    /// from the columns.
     pub fn feature_matrix(&self) -> Matrix {
         let mut m = Matrix::zeros(self.len(), N_EVENTS);
-        let cols = self.columns();
         for e in EventId::ALL {
-            for (r, &v) in cols.event(e).iter().enumerate() {
+            for (r, &v) in self.event_column(e).iter().enumerate() {
                 m[(r, e.index())] = v;
             }
         }
@@ -305,7 +348,7 @@ impl Dataset {
     ///
     /// Returns [`DataError::InsufficientData`] if the dataset is empty.
     pub fn summary(&self, event: EventId) -> Result<Summary> {
-        Summary::from_slice(&self.column(event))
+        Summary::from_slice(self.event_column(event))
             .map_err(|_| DataError::InsufficientData("summary of empty dataset".into()))
     }
 
@@ -315,8 +358,17 @@ impl Dataset {
     ///
     /// Returns [`DataError::InsufficientData`] if the dataset is empty.
     pub fn cpi_summary(&self) -> Result<Summary> {
-        Summary::from_slice(&self.cpis())
+        Summary::from_slice(self.cpi_column())
             .map_err(|_| DataError::InsufficientData("summary of empty dataset".into()))
+    }
+
+    /// A dataset of rows `rows` (in that order) sharing this dataset's
+    /// name table.
+    fn gather(&self, rows: &[usize]) -> Dataset {
+        Dataset {
+            columns: self.columns.gather(rows),
+            benchmarks: self.benchmarks.clone(),
+        }
     }
 
     /// Splits the dataset into two disjoint random subsets: the first with
@@ -336,61 +388,34 @@ impl Dataset {
         );
         let n_first = (fraction * self.len() as f64).ceil() as usize;
         let order = permutation(rng, self.len());
-        let mut first = Dataset {
-            samples: Vec::with_capacity(n_first),
-            labels: Vec::with_capacity(n_first),
-            benchmarks: self.benchmarks.clone(),
-            columns: OnceLock::new(),
-        };
-        let mut second = Dataset {
-            samples: Vec::with_capacity(self.len().saturating_sub(n_first)),
-            labels: Vec::with_capacity(self.len().saturating_sub(n_first)),
-            benchmarks: self.benchmarks.clone(),
-            columns: OnceLock::new(),
-        };
-        for (rank, &idx) in order.iter().enumerate() {
-            let target = if rank < n_first {
-                &mut first
-            } else {
-                &mut second
-            };
-            target.samples.push(self.samples[idx].clone());
-            target.labels.push(self.labels[idx]);
-        }
-        (first, second)
+        let (first, second) = order.split_at(n_first.min(order.len()));
+        (self.gather(first), self.gather(second))
     }
 
     /// Returns the subset of samples belonging to one benchmark (the name
     /// table is preserved).
     pub fn filter_benchmark(&self, label: u32) -> Dataset {
-        let mut out = Dataset {
-            samples: Vec::new(),
-            labels: Vec::new(),
-            benchmarks: self.benchmarks.clone(),
-            columns: OnceLock::new(),
-        };
-        for (s, l) in self.iter() {
-            if l == label {
-                out.samples.push(s.clone());
-                out.labels.push(l);
-            }
-        }
-        out
+        let rows: Vec<usize> = (0..self.len())
+            .filter(|&i| self.columns.labels[i] == label)
+            .collect();
+        self.gather(&rows)
     }
 
     /// Appends all samples of `other`, remapping labels through benchmark
     /// names so datasets from different generators can be combined.
     pub fn merge(&mut self, other: &Dataset) {
-        self.invalidate_columns();
         let remap: Vec<u32> = other
             .benchmarks
             .iter()
             .map(|name| self.add_benchmark(name))
             .collect();
-        for (s, l) in other.iter() {
-            self.samples.push(s.clone());
-            self.labels.push(remap[l as usize]);
+        let cols = &mut self.columns;
+        cols.cpi.extend_from_slice(&other.columns.cpi);
+        for (col, theirs) in cols.events.iter_mut().zip(&other.columns.events) {
+            col.extend_from_slice(theirs);
         }
+        cols.labels
+            .extend(other.columns.labels.iter().map(|&l| remap[l as usize]));
     }
 
     /// Checks that every registered benchmark name survives a
@@ -428,11 +453,12 @@ impl Dataset {
             write!(w, ",{}", e.short_name())?;
         }
         writeln!(w)?;
-        for (s, l) in self.iter() {
+        let cols = &self.columns;
+        for (i, (&cpi, &l)) in cols.cpi.iter().zip(&cols.labels).enumerate() {
             let name = self.benchmark_name(l).unwrap_or("?");
-            write!(w, "{name},{}", s.cpi())?;
-            for e in EventId::ALL {
-                write!(w, ",{}", s.get(e))?;
+            write!(w, "{name},{cpi}")?;
+            for col in &cols.events {
+                write!(w, ",{}", col[i])?;
             }
             writeln!(w)?;
         }
@@ -459,6 +485,9 @@ impl Dataset {
             )));
         }
         let mut ds = Dataset::new();
+        // Name -> label, so a file with many benchmarks is not a
+        // quadratic scan of the name table.
+        let mut ids: HashMap<String, u32> = HashMap::new();
         for (lineno, line) in lines.enumerate() {
             let line = line?;
             if line.trim().is_empty() {
@@ -472,7 +501,15 @@ impl Dataset {
                     fields.len()
                 )));
             }
-            let label = ds.add_benchmark(fields[0]);
+            let label = match ids.get(fields[0]) {
+                Some(&label) => label,
+                None => {
+                    let label = ds.benchmarks.len() as u32;
+                    ds.benchmarks.push(fields[0].to_owned());
+                    ids.insert(fields[0].to_owned(), label);
+                    label
+                }
+            };
             let parse = |s: &str| -> Result<f64> {
                 s.parse::<f64>()
                     .map_err(|e| DataError::Parse(format!("line {}: {e}", lineno + 2)))
@@ -486,6 +523,17 @@ impl Dataset {
         }
         Ok(ds)
     }
+}
+
+/// The one length check both constructors share, with the message
+/// [`Dataset::from_parts`] has always given.
+fn check_row_count(samples: usize, labels: usize) -> Result<()> {
+    if samples != labels {
+        return Err(DataError::Parse(format!(
+            "{samples} samples but {labels} labels"
+        )));
+    }
+    Ok(())
 }
 
 impl Extend<(Sample, u32)> for Dataset {
@@ -533,7 +581,7 @@ mod tests {
     #[test]
     fn from_parts_roundtrips_accessors() {
         let ds = tiny_dataset();
-        let samples: Vec<Sample> = (0..ds.len()).map(|i| ds.sample(i).clone()).collect();
+        let samples: Vec<Sample> = (0..ds.len()).map(|i| ds.sample(i)).collect();
         let labels: Vec<u32> = (0..ds.len()).map(|i| ds.label(i)).collect();
         let names = ds.benchmark_names().to_vec();
         let back = Dataset::from_parts(samples, labels, names).unwrap();
@@ -547,6 +595,45 @@ mod tests {
         assert!(Dataset::from_parts(s.clone(), vec![1], vec!["a".into()]).is_err());
         assert!(Dataset::from_parts(s, vec![0], vec!["a".into(), "a".into()]).is_err());
         assert!(Dataset::from_parts(vec![], vec![], vec![]).is_ok());
+    }
+
+    #[test]
+    fn from_parts_names_first_duplicate_among_many() {
+        // 100k distinct names, then a repeat of an early one: the check
+        // is one hash-set pass, and it reports that name.
+        let mut names: Vec<String> = (0..100_000).map(|i| format!("bench-{i}")).collect();
+        names.push("bench-7".into());
+        names.push("bench-3".into());
+        let err = Dataset::from_parts(vec![], vec![], names.clone()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            r#"parse error: duplicate benchmark "bench-7""#
+        );
+        names.truncate(100_000);
+        let ds = Dataset::from_parts(vec![Sample::zeros(1.0)], vec![99_999], names).unwrap();
+        assert_eq!(ds.benchmark_name(ds.label(0)), Some("bench-99999"));
+    }
+
+    #[test]
+    fn from_columns_rejects_ragged_columns() {
+        let names = || vec!["a".to_string()];
+        let events = |n: usize| -> [Vec<f64>; N_EVENTS] { std::array::from_fn(|_| vec![0.5; n]) };
+        let ds = Dataset::from_columns(vec![1.0, 2.0], events(2), vec![0, 0], names()).unwrap();
+        assert_eq!(ds.sample(1).cpi(), 2.0);
+        assert_eq!(ds.sample(1).get(EventId::Simd), 0.5);
+
+        let err = Dataset::from_columns(vec![1.0, 2.0], events(2), vec![0], names()).unwrap_err();
+        assert_eq!(err.to_string(), "parse error: 2 samples but 1 labels");
+        let mut ragged = events(2);
+        ragged[EventId::L2Miss.index()].pop();
+        let err = Dataset::from_columns(vec![1.0, 2.0], ragged, vec![0, 0], names()).unwrap_err();
+        assert!(
+            err.to_string().contains(EventId::L2Miss.short_name()),
+            "{err}"
+        );
+        let err = Dataset::from_columns(vec![1.0], events(1), vec![1], names()).unwrap_err();
+        assert!(err.to_string().contains("label 1 out of range"), "{err}");
+        assert!(Dataset::from_columns(vec![], events(0), vec![], vec![]).is_ok());
     }
 
     #[test]
@@ -724,11 +811,13 @@ mod tests {
     #[test]
     fn clone_and_equality_ignore_column_cache() {
         let ds = tiny_dataset();
-        let _ = ds.columns();
         let copy = ds.clone();
         assert_eq!(copy, ds);
-        // The clone rebuilds its own cache lazily and sees the same data.
-        assert_eq!(copy.cpi_column(), ds.cpi_column());
+        assert_eq!(copy.columns(), ds.columns());
+        // Equality is over values: a differing label breaks it.
+        let mut other = ds.clone();
+        other.merge(&tiny_dataset());
+        assert_ne!(other, ds);
     }
 
     #[test]
@@ -737,22 +826,5 @@ mod tests {
         assert!(ds.columns().is_empty());
         assert!(ds.cpi_column().is_empty());
         assert!(ds.event_column(EventId::Load).is_empty());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let ds = tiny_dataset();
-        let json = serde_json::to_string(&ds).unwrap();
-        let back: Dataset = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), ds.len());
-        assert_eq!(back.benchmark_names(), ds.benchmark_names());
-        for i in 0..ds.len() {
-            assert_eq!(back.label(i), ds.label(i));
-            // JSON text may perturb the last ULP of a float.
-            assert!((back.sample(i).cpi() - ds.sample(i).cpi()).abs() < 1e-12);
-            for e in EventId::ALL {
-                assert!((back.sample(i).get(e) - ds.sample(i).get(e)).abs() < 1e-12);
-            }
-        }
     }
 }

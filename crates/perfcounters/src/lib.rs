@@ -13,9 +13,9 @@
 //! * [`sample`] — a single observation interval
 //!   ([`sample::Sample`]) with its per-instruction event densities
 //!   and measured CPI.
-//! * [`dataset`] — a columnar [`dataset::Dataset`] of samples with
-//!   benchmark labels, random splits, per-column summaries, and CSV /
-//!   JSON round-trips.
+//! * [`dataset`] — a column-major [`dataset::Dataset`] of samples with
+//!   benchmark labels, random splits, per-column summaries, and CSV
+//!   round-trips.
 //! * [`counters`] — the [`counters::CounterBank`] multiplexing
 //!   simulator that turns *true* event densities into *measured* densities
 //!   with realistic extrapolation noise.
@@ -33,6 +33,8 @@
 //! assert_eq!(sample.get(EventId::DtlbMiss), 3e-4);
 //! assert_eq!(sample.cpi(), 1.0);
 //! ```
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arff;
 pub mod counters;

@@ -34,17 +34,23 @@
 //! every body by reading it back, so a short write (injected by the
 //! fault harness, or a real torn write) is detected and rewritten in
 //! place before the directory ever references it.
+//!
+//! Readers never build rows. A chunk body has the same column region
+//! as an `SPDS` image, and decodes into a [`DecodedChunk`] of one
+//! vector per column. [`ChunkedReader::window_dataset`] appends each
+//! covering chunk's column slices to the window's columns, and
+//! [`Dataset::from_columns`] adopts them as the window's storage.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::codec::{
-    check_header, integrity_hash, put_header, put_words, seal, verify_sealed, CodecError, Reader,
-    HEADER_LEN, ROW_BYTES,
+    check_header, integrity_hash, put_header, put_words, read_columns, seal, verify_sealed,
+    CodecError, Reader, HEADER_LEN, ROW_BYTES,
 };
 use crate::fingerprint::{Fingerprint, FingerprintHasher, SCHEMA_VERSION};
 use modeltree::CompiledTree;
 use perfcounters::events::N_EVENTS;
-use perfcounters::{Dataset, Sample};
+use perfcounters::Dataset;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 
@@ -84,52 +90,58 @@ pub struct DecodedChunk {
     pub labels: Vec<u32>,
     /// CPI column.
     pub cpi: Vec<f64>,
-    /// Event columns, concatenated event-major: event `e` occupies
-    /// `e * rows .. (e + 1) * rows`.
-    pub events: Vec<f64>,
+    /// Event columns, indexed by [`perfcounters::EventId::index`].
+    pub events: [Vec<f64>; N_EVENTS],
 }
 
 impl DecodedChunk {
+    fn with_capacity(rows: usize) -> DecodedChunk {
+        DecodedChunk {
+            labels: Vec::with_capacity(rows),
+            cpi: Vec::with_capacity(rows),
+            events: std::array::from_fn(|_| Vec::with_capacity(rows)),
+        }
+    }
+
     /// Rows in the chunk.
     pub fn rows(&self) -> usize {
         self.labels.len()
     }
 
-    /// Appends rows `range` of this chunk as samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` exceeds the chunk's rows.
-    pub fn append_rows(
-        &self,
-        range: Range<usize>,
-        samples: &mut Vec<Sample>,
-        labels: &mut Vec<u32>,
-    ) {
-        let n = self.rows();
-        assert!(range.end <= n, "row range {range:?} outside chunk of {n}");
-        let mut densities = [0.0f64; N_EVENTS];
-        for i in range {
-            for (e, d) in densities.iter_mut().enumerate() {
-                *d = self.events[e * n + i];
-            }
-            samples.push(Sample::from_densities(self.cpi[i], &densities));
-            labels.push(self.labels[i]);
+    /// Appends rows `range` of every column of this chunk to `out`.
+    fn append_to(&self, range: Range<usize>, out: &mut DecodedChunk) -> Result<(), CodecError> {
+        let outside = || {
+            CodecError::Malformed(format!(
+                "row range {range:?} outside chunk of {}",
+                self.rows()
+            ))
+        };
+        let labels = self.labels.get(range.clone()).ok_or_else(outside)?;
+        let cpi = self.cpi.get(range.clone()).ok_or_else(outside)?;
+        out.labels.extend_from_slice(labels);
+        out.cpi.extend_from_slice(cpi);
+        for (dst, src) in out.events.iter_mut().zip(&self.events) {
+            dst.extend_from_slice(src.get(range.clone()).ok_or_else(outside)?);
         }
+        Ok(())
     }
 
     /// Materializes the chunk as a standalone [`Dataset`] sharing the
-    /// container's benchmark name table.
+    /// container's benchmark name table: the columns are copied as they
+    /// are, no rows are built.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::Malformed`] when a label points outside
     /// the name table.
     pub fn to_dataset(&self, benchmarks: &[String]) -> Result<Dataset, CodecError> {
-        let mut samples = Vec::with_capacity(self.rows());
-        let mut labels = Vec::with_capacity(self.rows());
-        self.append_rows(0..self.rows(), &mut samples, &mut labels);
-        Dataset::from_parts(samples, labels, benchmarks.to_vec())
+        self.clone().into_dataset(benchmarks.to_vec())
+    }
+
+    /// [`DecodedChunk::to_dataset`], adopting the columns instead of
+    /// copying them.
+    fn into_dataset(self, benchmarks: Vec<String>) -> Result<Dataset, CodecError> {
+        Dataset::from_columns(self.cpi, self.events, self.labels, benchmarks)
             .map_err(|e| CodecError::Malformed(e.to_string()))
     }
 }
@@ -180,23 +192,7 @@ fn verify_chunk(bytes: &[u8]) -> Result<(usize, &[u8], u64), CodecError> {
 /// integrity-hash mismatch.
 pub fn decode_chunk(bytes: &[u8]) -> Result<DecodedChunk, CodecError> {
     let (rows, columns, _) = verify_chunk(bytes)?;
-    let mut r = Reader::new(columns);
-    let labels = r
-        .take(4 * rows)?
-        .as_chunks::<4>()
-        .0
-        .iter()
-        .map(|w| u32::from_le_bytes(*w))
-        .collect();
-    let f64s = |b: &[u8]| {
-        b.as_chunks::<8>()
-            .0
-            .iter()
-            .map(|w| f64::from_le_bytes(*w))
-            .collect()
-    };
-    let cpi = f64s(r.take(8 * rows)?);
-    let events = f64s(r.rest());
+    let (labels, cpi, events) = read_columns(&mut Reader::new(columns), rows)?;
     Ok(DecodedChunk {
         labels,
         cpi,
@@ -572,7 +568,7 @@ impl<R: Read + Seek> ChunkedReader<R> {
     /// range defects.
     pub fn chunk_dataset(&mut self, i: usize) -> Result<Dataset, CodecError> {
         let benchmarks = self.benchmarks.clone();
-        self.read_chunk(i)?.to_dataset(&benchmarks)
+        self.read_chunk(i)?.into_dataset(benchmarks)
     }
 
     /// The chunk indices whose rows intersect the global row range.
@@ -586,7 +582,8 @@ impl<R: Read + Seek> ChunkedReader<R> {
     }
 
     /// Materializes global rows `[rows.start, rows.end)` as a
-    /// [`Dataset`], decoding only the chunks that intersect the range —
+    /// [`Dataset`], decoding only the chunks that intersect the range
+    /// and appending each one's column slices to the window's columns —
     /// the out-of-core window view: peak memory is the window plus one
     /// chunk, independent of container size.
     ///
@@ -600,17 +597,15 @@ impl<R: Read + Seek> ChunkedReader<R> {
                 self.n_rows()
             )));
         }
-        let mut samples = Vec::with_capacity((rows.end - rows.start) as usize);
-        let mut labels = Vec::with_capacity(samples.capacity());
+        let mut window = DecodedChunk::with_capacity((rows.end - rows.start) as usize);
         for i in self.chunks_covering(&rows) {
             let start = self.row_starts[i];
             let chunk = self.read_chunk(i)?;
             let lo = rows.start.saturating_sub(start) as usize;
             let hi = ((rows.end - start) as usize).min(chunk.rows());
-            chunk.append_rows(lo..hi, &mut samples, &mut labels);
+            chunk.append_to(lo..hi, &mut window)?;
         }
-        Dataset::from_parts(samples, labels, self.benchmarks.clone())
-            .map_err(|e| CodecError::Malformed(e.to_string()))
+        window.into_dataset(self.benchmarks.clone())
     }
 
     /// Streams every chunk through the compiled engine's block kernels,

@@ -27,15 +27,17 @@
 //! both kinds and recomputes; the fingerprint schema, and with it every
 //! cache key, is untouched by a container format change.
 //!
-//! [`integrity_hash`] is a word-at-a-time, four-lane FNV-style hash:
+//! `integrity_hash` is a word-at-a-time, four-lane FNV-style hash:
 //! each step xors a little-endian `u64` word into a lane, multiplies by
 //! an odd constant and rotates — a bijection of the lane — so a flip of
 //! any single bit anywhere in the hashed bytes always changes the hash.
 //! Lanes fold in order, then the tail bytes and the total length.
 //!
-//! Decoding is one pass: the hash runs over the image once, then the
-//! `Vec<Sample>` rows are built straight from the column-major byte
-//! regions, with no intermediate column vectors.
+//! Decoding is one pass: the hash runs over the image once, then each
+//! column's byte region is copied into its own `Vec<f64>` (labels into
+//! a `Vec<u32>`), and [`Dataset::from_columns`] validates and adopts
+//! the vectors as the dataset's storage. No rows are built: the image
+//! and the [`Dataset`] have the same column-major layout.
 //!
 //! Numbers are little-endian. The formats are cache-internal: nothing
 //! outside the artifact store reads them.
@@ -45,14 +47,14 @@
 use crate::fingerprint::SCHEMA_VERSION;
 use modeltree::ModelTree;
 use perfcounters::events::N_EVENTS;
-use perfcounters::{Dataset, EventId, Sample};
+use perfcounters::{Dataset, EventId};
 
 const DATASET_MAGIC: &[u8; 4] = b"SPDS";
 const TREE_MAGIC: &[u8; 4] = b"SPMT";
 
 /// Layout generation of every container this crate writes (`SPDS`,
 /// `SPMT`, `SPDC`). Format 1 had no marker and hashed with byte-serial
-/// FNV-1a; format 2 added the marker and [`integrity_hash`]. Bump it
+/// FNV-1a; format 2 added the marker and `integrity_hash`. Bump it
 /// whenever the bytes of a container change for the same content.
 pub const CONTAINER_FORMAT: u32 = 2;
 
@@ -202,23 +204,6 @@ pub(crate) fn put_words<const N: usize>(
     }
 }
 
-/// Builds row-major samples in one pass straight from a column-major
-/// region: `cpi` holds one word per row, `events` the `N_EVENTS` event
-/// columns back to back, each as long as `cpi`.
-fn rows_from_columns(cpi: &[[u8; 8]], events: &[[u8; 8]]) -> Vec<Sample> {
-    let n = cpi.len();
-    let mut chunks = events.chunks_exact(n.max(1));
-    let columns: [&[[u8; 8]]; N_EVENTS] = std::array::from_fn(|_| chunks.next().unwrap_or(&[]));
-    cpi.iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let densities: [f64; N_EVENTS] =
-                std::array::from_fn(|e| f64::from_le_bytes(columns[e][i]));
-            Sample::from_densities(f64::from_le_bytes(*c), &densities)
-        })
-        .collect()
-}
-
 /// Cursor over the bytes of a verified region.
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
@@ -258,6 +243,32 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The columns of `n` rows, as one columnar region stores them.
+pub(crate) type ColumnRegion = (Vec<u32>, Vec<f64>, [Vec<f64>; N_EVENTS]);
+
+/// Reads the columnar region of `n` rows that `SPDS` images and `SPDC`
+/// chunk bodies share — labels, the CPI column, then each event column
+/// — copying each column's bytes into its own vector in one pass.
+pub(crate) fn read_columns(r: &mut Reader<'_>, n: usize) -> Result<ColumnRegion, CodecError> {
+    fn f64s(bytes: &[u8]) -> Vec<f64> {
+        let words = bytes.as_chunks::<8>().0;
+        words.iter().map(|w| f64::from_le_bytes(*w)).collect()
+    }
+    let labels = r
+        .take(4 * n)?
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|w| u32::from_le_bytes(*w))
+        .collect();
+    let cpi = f64s(r.take(8 * n)?);
+    let mut events: [Vec<f64>; N_EVENTS] = Default::default();
+    for column in &mut events {
+        *column = f64s(r.take(8 * n)?);
+    }
+    Ok((labels, cpi, events))
+}
+
 /// Checks the header (magic and format before anything else), the
 /// trailing integrity hash, then the schema version, returning the
 /// payload between header and hash.
@@ -291,8 +302,8 @@ pub fn encode_dataset(data: &Dataset) -> Vec<u8> {
         out.extend_from_slice(&(name.len() as u32).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
-    put_words(&mut out, (0..n).map(|i| data.label(i).to_le_bytes()));
     let cols = data.columns();
+    put_words(&mut out, cols.labels().iter().map(|l| l.to_le_bytes()));
     put_words(&mut out, cols.cpi().iter().map(|v| v.to_le_bytes()));
     for e in EventId::ALL {
         put_words(&mut out, cols.event(e).iter().map(|v| v.to_le_bytes()));
@@ -331,16 +342,8 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, CodecError> {
             "{remaining} payload bytes for {n} samples (expected {ROW_BYTES} per sample)"
         )));
     }
-    let labels = r
-        .take(4 * n)?
-        .as_chunks::<4>()
-        .0
-        .iter()
-        .map(|w| u32::from_le_bytes(*w))
-        .collect();
-    let cpi = r.take(8 * n)?.as_chunks::<8>().0;
-    let samples = rows_from_columns(cpi, r.buf.as_chunks::<8>().0);
-    Dataset::from_parts(samples, labels, benchmarks)
+    let (labels, cpi, events) = read_columns(&mut r, n)?;
+    Dataset::from_columns(cpi, events, labels, benchmarks)
         .map_err(|e| CodecError::Malformed(e.to_string()))
 }
 
@@ -373,6 +376,7 @@ pub fn decode_tree(bytes: &[u8]) -> Result<ModelTree, CodecError> {
 mod tests {
     use super::*;
     use modeltree::M5Config;
+    use perfcounters::Sample;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use workloads::generator::{GeneratorConfig, Suite};

@@ -20,7 +20,7 @@
 //!
 //! | method+path      | behavior                                              |
 //! |------------------|-------------------------------------------------------|
-//! | `POST /predict`      | CPI per row; text or JSON body (see [`parse_rows`])   |
+//! | `POST /predict`      | CPI per row; text or JSON body (see `parse_rows`)     |
 //! | `POST /classify`     | 1-based linear-model number per row                   |
 //! | `GET  /healthz`      | `ok\n` + `name@version` models, uptime, SLO monitors  |
 //! | `GET  /metrics`      | obskit metrics: JSON, or OpenMetrics when negotiated  |
@@ -36,14 +36,13 @@
 //! Every 200 to `/predict`/`/classify` carries `X-Model-Version` (the
 //! registry fingerprint), pinning observed predictions to an exact
 //! model version even across concurrent hot swaps. When tracing is on,
-//! one request in [`SPECREPRO_TRACE_SAMPLE`] is assigned a request id
+//! one request in `SPECREPRO_TRACE_SAMPLE` is assigned a request id
 //! from a lock-free allocator; the id rides the coalescer into the
 //! queue-wait/batch/engine spans, tags the request's own parse and
 //! respond spans, and is echoed in `X-Request-Id` — one Chrome-trace
 //! export reconstructs the request's whole path. With tracing off the
 //! sampler costs a single relaxed atomic load.
 //!
-//! [`SPECREPRO_TRACE_SAMPLE`]: sample_req_id
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -1,6 +1,6 @@
 //! Sharded, bounded-channel ingestion with deterministic chunk sealing.
 //!
-//! Producers walk their hosts and push [`Envelope`]s — interval records
+//! Producers walk their hosts and push `Envelope`s — interval records
 //! tagged `(host, seq)` plus a reliable per-host `End` control record —
 //! through the fault injector into bounded channels. Aggregator workers
 //! own disjoint logical shards and reconstruct each shard's canonical

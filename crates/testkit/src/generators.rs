@@ -173,7 +173,7 @@ where
         let new_label = *label_map.entry(label).or_insert_with(|| {
             out.add_benchmark(data.benchmark_name(label).expect("label has a name"))
         });
-        out.push(f(i, sample), new_label);
+        out.push(f(i, &sample), new_label);
     }
     out
 }
@@ -193,7 +193,7 @@ pub fn permute_rows(data: &Dataset, seed: u64) -> Dataset {
         let new_label = *label_map.entry(label).or_insert_with(|| {
             out.add_benchmark(data.benchmark_name(label).expect("label has a name"))
         });
-        out.push(data.sample(i).clone(), new_label);
+        out.push(data.sample(i), new_label);
     }
     out
 }

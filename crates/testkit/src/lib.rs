@@ -3,9 +3,11 @@
 //! Four layers of defense against silent regressions in the optimized
 //! training and analysis pipeline:
 //!
-//! * [`reference`] — a naive, obviously-correct M5' implementation used
+//! * [`reference`](mod@reference) — a naive, obviously-correct M5' implementation used
 //!   as a **differential oracle**: the optimized trainer must produce
-//!   bit-identical trees across the full configuration lattice.
+//!   bit-identical trees across the full configuration lattice. It also
+//!   holds [`reference::RowDataset`], the row-major oracle for the
+//!   column-major `Dataset`.
 //! * [`generators`] — seeded dataset generators, including adversarial
 //!   shapes (NaN/inf cells, near-tied thresholds, all-equal targets,
 //!   single-row leaves), powering the differential and **metamorphic**

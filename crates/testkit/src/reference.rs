@@ -41,8 +41,8 @@ use modeltree::{LinearModel, M5Config, ModelTree, NodeKind};
 use perfcounters::events::{EventId, N_EVENTS};
 use perfcounters::{Dataset, Sample};
 
-/// Column copies of a dataset: the reference never touches the
-/// optimized trainer's columnar cache.
+/// Column copies of a dataset: the reference owns its columns instead
+/// of borrowing the dataset's storage the optimized trainer reads.
 struct RefColumns {
     events: Vec<Vec<f64>>,
     cpi: Vec<f64>,
@@ -775,5 +775,156 @@ fn compare(
         (NodeKind::Split { .. }, RefKind::Leaf { .. }) => Err(format!(
             "{path}: optimized split where reference has a leaf"
         )),
+    }
+}
+
+/// A row-major reference dataset: the `Vec<Sample>` layout
+/// [`Dataset`] had before it was stored column-major, with the row
+/// algorithms it used. It is the oracle for the columnar dataset:
+/// every operation here must agree with [`Dataset`]'s bit for bit.
+#[derive(Debug, Clone, Default)]
+pub struct RowDataset {
+    /// One sample per row.
+    pub samples: Vec<Sample>,
+    /// Benchmark label per row (an index into `benchmarks`).
+    pub labels: Vec<u32>,
+    /// The benchmark name table.
+    pub benchmarks: Vec<String>,
+}
+
+impl RowDataset {
+    /// A dataset of the given rows, labels and name table.
+    pub fn new(samples: Vec<Sample>, labels: Vec<u32>, benchmarks: Vec<String>) -> RowDataset {
+        RowDataset {
+            samples,
+            labels,
+            benchmarks,
+        }
+    }
+
+    fn with_names(&self) -> RowDataset {
+        RowDataset::new(Vec::new(), Vec::new(), self.benchmarks.clone())
+    }
+
+    /// Random split: rank `r` of the drawn permutation goes to the
+    /// first part when `r < ceil(fraction * len)`.
+    pub fn split_random<R: rand::Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        fraction: f64,
+    ) -> (RowDataset, RowDataset) {
+        let n_first = (fraction * self.samples.len() as f64).ceil() as usize;
+        let order = mathkit::sampling::permutation(rng, self.samples.len());
+        let (mut first, mut second) = (self.with_names(), self.with_names());
+        for (rank, &idx) in order.iter().enumerate() {
+            let target = if rank < n_first {
+                &mut first
+            } else {
+                &mut second
+            };
+            target.samples.push(self.samples[idx].clone());
+            target.labels.push(self.labels[idx]);
+        }
+        (first, second)
+    }
+
+    /// The rows with one label, in order.
+    pub fn filter_benchmark(&self, label: u32) -> RowDataset {
+        let mut out = self.with_names();
+        for (s, &l) in self.samples.iter().zip(&self.labels) {
+            if l == label {
+                out.samples.push(s.clone());
+                out.labels.push(l);
+            }
+        }
+        out
+    }
+
+    /// Appends `other`'s rows, remapping its labels through the names.
+    pub fn merge(&mut self, other: &RowDataset) {
+        let mut label_of = |name: &String| match self.benchmarks.iter().position(|b| b == name) {
+            Some(pos) => pos as u32,
+            None => {
+                self.benchmarks.push(name.clone());
+                (self.benchmarks.len() - 1) as u32
+            }
+        };
+        let remap: Vec<u32> = other.benchmarks.iter().map(&mut label_of).collect();
+        for (s, &l) in other.samples.iter().zip(&other.labels) {
+            self.samples.push(s.clone());
+            self.labels.push(remap[l as usize]);
+        }
+    }
+
+    /// The `n x N_EVENTS` feature matrix, filled row by row.
+    pub fn feature_matrix(&self) -> mathkit::matrix::Matrix {
+        let mut m = mathkit::matrix::Matrix::zeros(self.samples.len(), N_EVENTS);
+        for (r, s) in self.samples.iter().enumerate() {
+            for (c, &v) in s.densities().iter().enumerate() {
+                m[(r, c)] = v;
+            }
+        }
+        m
+    }
+
+    /// The CSV bytes `Dataset::to_csv` writes, written row by row.
+    pub fn to_csv(&self) -> Vec<u8> {
+        let mut out = String::from("benchmark,CPI");
+        for e in EventId::ALL {
+            out.push(',');
+            out.push_str(e.short_name());
+        }
+        out.push('\n');
+        for (s, &l) in self.samples.iter().zip(&self.labels) {
+            let name = self.benchmarks.get(l as usize).map_or("?", String::as_str);
+            out.push_str(&format!("{name},{}", s.cpi()));
+            for e in EventId::ALL {
+                out.push_str(&format!(",{}", s.get(e)));
+            }
+            out.push('\n');
+        }
+        out.into_bytes()
+    }
+
+    /// Checks that `data` holds exactly these rows — through
+    /// [`Dataset::sample`], [`Dataset::iter`] and [`Dataset::label`],
+    /// comparing values with `to_bits` — and this name table.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first difference.
+    pub fn check(&self, data: &Dataset) -> Result<(), String> {
+        if data.benchmark_names() != self.benchmarks.as_slice() {
+            return Err(format!(
+                "names {:?} vs reference {:?}",
+                data.benchmark_names(),
+                self.benchmarks
+            ));
+        }
+        if data.len() != self.samples.len() {
+            return Err(format!(
+                "{} rows vs reference {}",
+                data.len(),
+                self.samples.len()
+            ));
+        }
+        let rows = self.samples.iter().zip(&self.labels);
+        for (i, ((s, l), (want, &want_label))) in data.iter().zip(rows).enumerate() {
+            for (what, got) in [("iter", &s), ("sample", &data.sample(i))] {
+                let bits = |s: &Sample| -> Vec<u64> {
+                    std::iter::once(s.cpi())
+                        .chain(s.densities().iter().copied())
+                        .map(f64::to_bits)
+                        .collect()
+                };
+                if bits(got) != bits(want) {
+                    return Err(format!("row {i} via {what}: {got:?} vs reference {want:?}"));
+                }
+            }
+            if l != want_label || data.label(i) != want_label {
+                return Err(format!("row {i}: label {l} vs reference {want_label}"));
+            }
+        }
+        Ok(())
     }
 }

@@ -174,7 +174,7 @@ fn container(ds: &Dataset, chunk_rows: usize) -> Vec<u8> {
     while at < ds.len() {
         let end = (at + chunk_rows).min(ds.len());
         let part = Dataset::from_parts(
-            (at..end).map(|i| ds.sample(i).clone()).collect(),
+            (at..end).map(|i| ds.sample(i)).collect(),
             (at..end).map(|i| ds.label(i)).collect(),
             ds.benchmark_names().to_vec(),
         )
@@ -298,12 +298,48 @@ proptest! {
         ),
         name_len in 0usize..40,
         chunk_rows in 1usize..9,
+        window in (0usize..41, 0usize..41),
     ) {
         let ds = small_dataset(rows.len(), name_len, |k| rows[k / (N_EVENTS + 1)][k % (N_EVENTS + 1)]);
         let back = codec::decode_dataset(&codec::encode_dataset(&ds)).unwrap();
         assert_bit_identical(&ds, &back);
-        let back = read_container(&container(&ds, chunk_rows)).unwrap();
+        let bytes = container(&ds, chunk_rows);
+        let back = read_container(&bytes).unwrap();
         assert_bit_identical(&ds, &back);
+
+        // Windows that start and end inside chunks, and ones straddling
+        // each chunk boundary, equal the in-memory rows.
+        let mut reader = ChunkedReader::open(Cursor::new(&bytes)).unwrap();
+        let n = ds.len();
+        let (a, b) = (window.0.min(n), window.1.min(n));
+        let straddling = (chunk_rows..n).step_by(chunk_rows).map(|edge| edge - 1..(edge + 1).min(n));
+        for rows in std::iter::once(a.min(b)..a.max(b)).chain(straddling) {
+            let got = reader.window_dataset(rows.start as u64..rows.end as u64).unwrap();
+            assert_window_is_rows(&ds, rows, &got);
+        }
+    }
+}
+
+/// Asserts that `window` holds rows `rows` of `ds`, bit for bit, under
+/// the same name table.
+fn assert_window_is_rows(ds: &Dataset, rows: std::ops::Range<usize>, window: &Dataset) {
+    assert_eq!(window.benchmark_names(), ds.benchmark_names());
+    assert_eq!(window.len(), rows.len(), "window {rows:?}");
+    for (k, i) in rows.clone().enumerate() {
+        assert_eq!(window.label(k), ds.label(i), "window {rows:?} row {i}");
+        let (got, want) = (window.sample(k), ds.sample(i));
+        assert_eq!(
+            got.cpi().to_bits(),
+            want.cpi().to_bits(),
+            "window {rows:?} row {i}"
+        );
+        for e in EventId::ALL {
+            assert_eq!(
+                got.get(e).to_bits(),
+                want.get(e).to_bits(),
+                "window {rows:?} row {i} {e:?}"
+            );
+        }
     }
 }
 

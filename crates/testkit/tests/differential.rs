@@ -62,8 +62,8 @@ fn optimized_trainer_is_bit_identical_to_reference_oracle() {
             // off (both sides walk the same chain in the same order).
             let engine = CompiledTree::new(&tree);
             for (i, (sample, _)) in data.iter().enumerate() {
-                let want = reference.predict_with_smoothing(sample, corner.config.smoothing);
-                let got = tree.predict(sample);
+                let want = reference.predict_with_smoothing(&sample, corner.config.smoothing);
+                let got = tree.predict(&sample);
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
@@ -72,7 +72,7 @@ fn optimized_trainer_is_bit_identical_to_reference_oracle() {
                 );
                 // Compiled engine: exact without smoothing; the folded
                 // smoothing chain reassociates, so within 1e-10 with it.
-                let compiled = engine.predict(sample);
+                let compiled = engine.predict(&sample);
                 if corner.config.smoothing {
                     if let Err(msg) = close_to(compiled, want, 1e-10) {
                         panic!(
@@ -132,7 +132,7 @@ fn training_error_agrees_with_reference_predictions() {
         let tree = ModelTree::fit(&data, &config).unwrap();
         let mae_ref: f64 = data
             .iter()
-            .map(|(s, _)| (reference.predict(s) - s.cpi()).abs())
+            .map(|(s, _)| (reference.predict(&s) - s.cpi()).abs())
             .sum::<f64>()
             / data.len() as f64;
         let mae_opt = tree.mean_abs_error(&data);

@@ -82,7 +82,7 @@ fn constant_columns_are_inert() {
                 "seed {seed}: moving a constant column changed the tree"
             );
             for (sample, _) in base.iter() {
-                assert_eq!(t0.predict(sample).to_bits(), t1.predict(sample).to_bits());
+                assert_eq!(t0.predict(&sample).to_bits(), t1.predict(&sample).to_bits());
             }
             checked += 1;
         }
@@ -108,7 +108,7 @@ fn row_permutation_leaves_tree_equivalent() {
             "seed {seed}: row order changed the tree shape"
         );
         for (i, (sample, _)) in data.iter().enumerate() {
-            if let Err(msg) = close_to(t0.predict(sample), t1.predict(sample), 1e-6) {
+            if let Err(msg) = close_to(t0.predict(&sample), t1.predict(&sample), 1e-6) {
                 panic!("seed {seed} row {i}: permutation moved a prediction: {msg}");
             }
         }
@@ -161,7 +161,7 @@ fn attribute_permutation_relabels_without_reshaping() {
             relabeled.set(a, sample.get(b));
             relabeled.set(b, sample.get(a));
             assert_eq!(
-                t0.predict(sample).to_bits(),
+                t0.predict(&sample).to_bits(),
                 t1.predict(&relabeled).to_bits(),
                 "seed {seed} row {i}: prediction moved under column swap"
             );
@@ -193,8 +193,8 @@ fn affine_target_rescaling_preserves_shape() {
         );
         for (i, (sample, _)) in data.iter().enumerate() {
             assert_eq!(
-                (4.0 * t0.predict(sample)).to_bits(),
-                t4.predict(sample).to_bits(),
+                (4.0 * t0.predict(&sample)).to_bits(),
+                t4.predict(&sample).to_bits(),
                 "seed {seed} row {i}: 4x rescale is not exact"
             );
         }
@@ -228,7 +228,7 @@ fn affine_target_rescaling_preserves_shape() {
         }
         matched += 1;
         for (i, (sample, _)) in data.iter().enumerate() {
-            if let Err(msg) = close_to(a * t0.predict(sample) + b, ta.predict(sample), 1e-9) {
+            if let Err(msg) = close_to(a * t0.predict(&sample) + b, ta.predict(&sample), 1e-9) {
                 panic!("seed {seed} row {i}: affine rescale broke prediction: {msg}");
             }
         }
@@ -261,8 +261,8 @@ fn duplicated_rows_are_pure_reweighting() {
         );
         for (i, (sample, _)) in data.iter().enumerate() {
             assert_eq!(
-                t0.predict(sample).to_bits(),
-                t1.predict(sample).to_bits(),
+                t0.predict(&sample).to_bits(),
+                t1.predict(&sample).to_bits(),
                 "seed {seed} row {i}: duplication reweighting moved a prediction"
             );
         }
@@ -295,7 +295,7 @@ fn all_equal_targets_collapse_to_one_constant_leaf() {
             let tree = ModelTree::fit(&data, &config).unwrap();
             assert_eq!(tree.n_leaves(), 1, "seed {seed}: flat target still split");
             for (sample, _) in data.iter() {
-                assert_eq!(tree.predict(sample).to_bits(), cpi.to_bits());
+                assert_eq!(tree.predict(&sample).to_bits(), cpi.to_bits());
             }
         }
     }
@@ -320,7 +320,7 @@ fn min_leaf_one_produces_and_survives_single_row_leaves() {
             .count();
         // Every training sample still predicts finitely.
         for (sample, _) in data.iter() {
-            assert!(tree.predict(sample).is_finite());
+            assert!(tree.predict(&sample).is_finite());
         }
     }
     assert!(

@@ -162,9 +162,9 @@ fn f32_fast_path_respects_published_bound() {
         let p_fast = fast.predict_batch(&data);
         let mut comparable = 0usize;
         for (i, (sample, _)) in data.iter().enumerate() {
-            if fast.classify(sample) == exact.classify(sample) {
+            if fast.classify(&sample) == exact.classify(&sample) {
                 let bound = fast
-                    .f32_error_bound(sample)
+                    .f32_error_bound(&sample)
                     .expect("quantized engines publish bounds");
                 let err = (p_exact[i] - p_fast[i]).abs();
                 assert!(

@@ -81,8 +81,8 @@ fn ooc_window_fits_bit_identical_to_in_memory_across_chunk_sizes() {
             assert_trees_bit_identical(&ooc, &mem, &context);
             for i in 0..data.len() {
                 assert_eq!(
-                    ooc.predict(data.sample(i)).to_bits(),
-                    mem.predict(full.sample(w.start as usize + i)).to_bits(),
+                    ooc.predict(&data.sample(i)).to_bits(),
+                    mem.predict(&full.sample(w.start as usize + i)).to_bits(),
                     "{context}: prediction for row {i} diverged"
                 );
             }

@@ -246,7 +246,7 @@ mod tests {
         let ds = t.to_dataset();
         assert_eq!(ds.len(), 100);
         for i in 0..100 {
-            assert_eq!(ds.sample(i), &t.samples()[i]);
+            assert_eq!(ds.sample(i), t.samples()[i]);
         }
         assert_eq!(ds.benchmark_name(0), Some("429.mcf"));
     }

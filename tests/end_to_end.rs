@@ -52,8 +52,8 @@ fn dataset_roundtrips_preserve_classification() {
     assert_eq!(back.len(), data.len());
     for i in (0..data.len()).step_by(97) {
         assert_eq!(
-            tree.classify(back.sample(i)),
-            tree.classify(data.sample(i)),
+            tree.classify(&back.sample(i)),
+            tree.classify(&data.sample(i)),
             "classification changed across CSV round trip at {i}"
         );
     }
@@ -63,7 +63,7 @@ fn dataset_roundtrips_preserve_classification() {
     let tree2: ModelTree = serde_json::from_str(&json).expect("deserialize tree");
     for i in (0..data.len()).step_by(131) {
         let s = data.sample(i);
-        assert!((tree.predict(s) - tree2.predict(s)).abs() < 1e-9);
+        assert!((tree.predict(&s) - tree2.predict(&s)).abs() < 1e-9);
     }
 }
 

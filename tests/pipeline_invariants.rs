@@ -41,7 +41,7 @@ fn smoothed_predictions_stay_within_sane_cpi_range() {
     let tree = ModelTree::fit(&data, &M5Config::default().with_min_leaf(50)).expect("fit");
     let probe_data = generate(&Suite::cpu2006(), 2_000, 4);
     for i in 0..probe_data.len() {
-        let p = tree.predict(probe_data.sample(i));
+        let p = tree.predict(&probe_data.sample(i));
         assert!(p.is_finite());
         assert!(p > -1.0 && p < 12.0, "prediction {p} out of range");
     }
@@ -72,10 +72,10 @@ fn smoothing_off_matches_leaf_models_exactly() {
     let leaves = tree.leaves();
     for i in (0..data.len()).step_by(101) {
         let s = data.sample(i);
-        let lm = tree.classify(s);
+        let lm = tree.classify(&s);
         let leaf_model = &leaves[lm - 1].model;
         assert!(
-            (tree.predict(s) - leaf_model.predict(s)).abs() < 1e-12,
+            (tree.predict(&s) - leaf_model.predict(&s)).abs() < 1e-12,
             "unsmoothed prediction differs from leaf model"
         );
     }
@@ -145,7 +145,7 @@ proptest! {
         prop_assert!((total - 1.0).abs() < 1e-9);
         // Every classification lands in [1, n_leaves].
         for i in (0..data.len()).step_by(173) {
-            let lm = tree.classify(data.sample(i));
+            let lm = tree.classify(&data.sample(i));
             prop_assert!(lm >= 1 && lm <= tree.n_leaves());
         }
         // Training MAE is bounded (regimes are learnable).
