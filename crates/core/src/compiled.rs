@@ -15,9 +15,9 @@
 //!   Nodes are stored as parallel arrays (`feature`, `threshold`,
 //!   `children`, `slot`) in the tree's interning order, so a scalar
 //!   descent is a short loop over dense arrays with no enum matching.
-//!   The batch kernels never descend per row at all: they recursively
-//!   **partition** the chunk's row list through the tree, so each node
-//!   is visited once per chunk with its tested column and threshold
+//!   The batch kernel never descends per row at all: it recursively
+//!   **partitions** each block's row list through the tree, so each node
+//!   is visited once per block with its tested column and threshold
 //!   held in registers, every sweep streams the columnar cache, rows
 //!   leave the recursion the moment they reach their leaf, and each
 //!   leaf's folded model is then evaluated term-major over the leaf's
@@ -42,33 +42,25 @@
 //!   flat-array descent plus a single sparse dot product — identical in
 //!   cost to an unsmoothed one.
 //!
-//! # Vectorized kernels
+//! # Vectorized kernel
 //!
-//! The batch entry points run a **SIMD cache-blocked kernel** by
-//! default (see [`crate::simd`] for the lane types and the
-//! `SPECREPRO_NO_SIMD` / `SPECREPRO_BLOCK_ROWS` knobs): rows are
-//! processed in blocks sized so one block's working set — the used
+//! Every batch entry point runs one **SIMD cache-blocked kernel** (see
+//! [`crate::simd`] for the lane types and the block-size probe): rows
+//! are processed in blocks sized so one block's working set — the used
 //! column windows, the `u32` block-local row lists, the partition
 //! scratch, and the accumulator — stays L2-resident across the whole
 //! descent. Within a block the partition step gathers lane-width
 //! comparison masks, and each leaf's folded model runs term-major with
 //! four-lane unfused multiply-adds. Block-local `u32` indices serve as
-//! both gather subscript and output position, halving the partition
-//! traffic of the scalar kernel's packed `u64` pairs.
+//! both gather subscript and output position.
 //!
-//! Every arithmetic step keeps the scalar kernel's association — terms
-//! accumulate per row in ascending term order, products round before
-//! they are added (no FMA contraction), and the intercept is added
-//! last — so the f64 SIMD kernel is **bit-identical** to the scalar
-//! oracle kernel, which is kept intact and selectable via
-//! `SPECREPRO_NO_SIMD=1` or [`CompiledTree::with_simd`].
-//!
-//! An opt-in quantized fast path
-//! ([`CompiledTree::with_precision`] with [`Precision::F32Fast`])
-//! additionally casts thresholds, coefficients, and gathered inputs to
-//! `f32`, doubling lane width and halving memory traffic; its per-leaf
-//! rounding-error bound is derived analytically at quantization time
-//! (see [`CompiledTree::f32_error_bound`]).
+//! Every arithmetic step keeps the association of the per-row
+//! [`CompiledTree::predict`] — terms accumulate per row in ascending
+//! term order, products round before they are added (no FMA
+//! contraction), and the intercept is added last — so the batch kernel
+//! is **bit-identical** to the per-row path, which is its oracle:
+//! [`CompiledTree::predict`] and [`CompiledTree::classify`] are what
+//! the tests compare every batch output against, bit for bit.
 //!
 //! The folded coefficients are mathematically exact; compiled and
 //! interpreted predictions differ only by floating-point reassociation
@@ -80,23 +72,13 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::linreg::LinearModel;
-use crate::simd::{self, F32x8, F64x4};
+use crate::simd::{self, F64x4};
 use crate::tree::{ModelTree, NodeKind};
 use perfcounters::events::N_EVENTS;
 use perfcounters::{ColumnStore, Dataset, EventId, Sample};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel in [`CompiledTree::slot`] marking a split node.
 const SPLIT: u32 = u32::MAX;
-
-/// Rows per partition descent in the **scalar** oracle kernel. Each
-/// descent level re-sweeps the block's packed row list, so the list,
-/// its partition scratch, the leaf accumulator, and the touched column
-/// stretches must stay cache-resident; a few thousand rows keeps that
-/// working set around a hundred kilobytes while still amortizing the
-/// per-node recursion to nothing. The SIMD kernel sizes its blocks at
-/// runtime instead ([`simd::block_rows`]).
-const BLOCK: usize = 4096;
 
 /// Minimum rows a batch must supply per worker before the chunked
 /// entry points spawn threads at all: below this, thread startup
@@ -104,29 +86,16 @@ const BLOCK: usize = 4096;
 /// dispatch overhead.
 const MIN_ROWS_PER_THREAD: usize = 1024;
 
-/// Numeric precision of the batch kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Precision {
-    /// Full `f64` arithmetic, bit-identical to the scalar engine (the
-    /// default).
-    #[default]
-    F64,
-    /// Quantized `f32` fast path: thresholds, folded coefficients, and
-    /// gathered inputs are cast to `f32`, doubling SIMD lane width and
-    /// halving memory traffic. Predictions carry an analytically
-    /// bounded rounding error ([`CompiledTree::f32_error_bound`]); a
-    /// sample landing within `f32` rounding of a split threshold may
-    /// descend to a different (adjacent) leaf than the `f64` engine.
-    F32Fast,
-}
-
 /// A fitted [`ModelTree`] compiled for batch inference: flat
 /// structure-of-arrays nodes plus one smoothing-folded linear model per
 /// leaf.
 ///
 /// Build one with [`ModelTree::compile`]. Compilation is cheap (linear
 /// in the tree size) and the result is immutable, so it can be reused
-/// across every prediction pass over a model.
+/// across every prediction pass over a model. An engine is never
+/// serialized: trees travel as [`ModelTree`] JSON and are compiled on
+/// load, so every node feature is an [`EventId::index`] by
+/// construction.
 ///
 /// # Examples
 ///
@@ -148,7 +117,7 @@ pub enum Precision {
 ///     assert!((p - tree.predict(&ds.sample(i))).abs() < 1e-10);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledTree {
     /// Per node: the tested attribute's [`EventId::index`] (0 for
     /// leaves, whose lookup result never affects the descent).
@@ -182,27 +151,12 @@ pub struct CompiledTree {
     /// Thread budget for batch entry points (1 = serial). Results are
     /// bit-identical for every value.
     n_threads: usize,
-    /// SIMD kernel override: `Some(_)` forces the choice, `None`
-    /// follows [`simd::simd_enabled`]. An execution hint like
-    /// `n_threads`, but not serialized — a deserialized engine falls
-    /// back to the environment default.
-    #[serde(skip)]
-    simd: Option<bool>,
-    /// Cache-block row override for the SIMD kernels; `None` follows
-    /// [`simd::block_rows`]. Not serialized (execution hint).
-    #[serde(skip)]
+    /// Cache-block row override for the batch kernel; `None` follows
+    /// [`simd::block_rows`]. An execution hint like `n_threads`.
     block_rows: Option<usize>,
-    /// The `f32` fast path's quantized tables, present iff the engine
-    /// was switched to [`Precision::F32Fast`]. Not serialized — the
-    /// tables are derived data; re-apply [`CompiledTree::with_precision`]
-    /// after deserializing.
-    #[serde(skip)]
-    quantized: Option<Quantized>,
     /// Lazily built, cached [`KernelPlan`]: the data-independent part
-    /// of the per-call SIMD kernel (used-column set plus node/term slot
-    /// resolution). Derived data, so not serialized and excluded from
-    /// equality; a deserialized engine rebuilds it on first use.
-    #[serde(skip)]
+    /// of the per-call kernel (used-column set plus node/term slot
+    /// resolution). Derived data, so excluded from equality.
     plan: PlanCell,
 }
 
@@ -224,9 +178,7 @@ impl CompiledTree {
             term_coef: Vec::new(),
             term_start: vec![0],
             n_threads: tree.config().n_threads.max(1),
-            simd: None,
             block_rows: None,
-            quantized: None,
             plan: PlanCell::default(),
         };
         let k = if tree.config().smoothing {
@@ -357,21 +309,9 @@ impl CompiledTree {
         self
     }
 
-    /// Returns the engine with the vectorized batch kernels forced on
-    /// or off, overriding the `SPECREPRO_NO_SIMD` environment default.
-    /// The f64 SIMD kernel is bit-identical to the scalar kernel, so
-    /// this only changes speed — it exists for A/B benchmarking and
-    /// the testkit's differential axis.
-    #[must_use]
-    pub fn with_simd(mut self, enabled: bool) -> Self {
-        self.simd = Some(enabled);
-        self
-    }
-
     /// Returns the engine with a fixed cache-block row count for the
-    /// SIMD kernels (at least 1), overriding both the
-    /// `SPECREPRO_BLOCK_ROWS` environment variable and the runtime
-    /// cache probe. Results are identical for every value.
+    /// batch kernel (at least 1), overriding the runtime cache probe.
+    /// Results are identical for every value.
     #[must_use]
     pub fn with_block_rows(mut self, rows: usize) -> Self {
         self.block_rows = Some(rows.max(1));
@@ -398,71 +338,6 @@ impl CompiledTree {
         )
     }
 
-    /// Returns the engine switched to the given kernel precision.
-    /// [`Precision::F32Fast`] builds the quantized tables and their
-    /// per-leaf error bounds; [`Precision::F64`] drops them.
-    #[must_use]
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.quantized = match precision {
-            Precision::F64 => None,
-            Precision::F32Fast => Some(Quantized::build(&self)),
-        };
-        self
-    }
-
-    /// The engine's current kernel precision.
-    pub fn precision(&self) -> Precision {
-        if self.quantized.is_some() {
-            Precision::F32Fast
-        } else {
-            Precision::F64
-        }
-    }
-
-    /// Whether the batch entry points will take the vectorized kernel:
-    /// the per-engine override if set, the environment default
-    /// otherwise.
-    pub fn simd_active(&self) -> bool {
-        self.simd.unwrap_or_else(simd::simd_enabled)
-    }
-
-    /// Analytic bound on `|predict_f32(s) − predict_f64(s)|` for a
-    /// [`Precision::F32Fast`] engine, **valid whenever both precisions
-    /// descend to the same leaf** (equivalently, when
-    /// [`CompiledTree::classify`] agrees across precisions — they can
-    /// disagree only when an attribute lies within `f32` rounding of a
-    /// split threshold).
-    ///
-    /// For a leaf whose folded model has `k` terms the quantized
-    /// evaluation performs, per term, one `f64→f32` input rounding, one
-    /// coefficient rounding, one product rounding, and one accumulation
-    /// rounding, plus the intercept rounding and final add — at most
-    /// `k + 4` relative roundings of size `u` weighted against each
-    /// `|c_i·x_i|` (standard running-error analysis, any summation
-    /// order). With `γ_m = m·u / (1 − m·u)` the error is bounded by
-    ///
-    /// ```text
-    /// |err| ≤ γ_{k+4} · (|b| + Σ_i |c_i|·|x_i|)
-    /// ```
-    ///
-    /// Taking `u = f32::EPSILON` (twice the true unit roundoff) absorbs
-    /// every constant. The per-leaf factors `γ_{k+4}` are computed and
-    /// sanity-checked when [`CompiledTree::with_precision`] quantizes
-    /// the tree; this method plugs in the sample's magnitudes.
-    ///
-    /// Returns `None` unless the engine is quantized.
-    pub fn f32_error_bound(&self, sample: &Sample) -> Option<f64> {
-        let q = self.quantized.as_ref()?;
-        let densities = sample.densities();
-        let slot = self.descend(|f| densities[f]);
-        let range = self.term_start[slot] as usize..self.term_start[slot + 1] as usize;
-        let mut magnitude = self.intercept[slot].abs();
-        for t in range {
-            magnitude += self.term_coef[t].abs() * densities[self.term_feature[t] as usize].abs();
-        }
-        Some(q.gamma[slot] * magnitude)
-    }
-
     /// The smoothing-folded effective linear model of one leaf, by its
     /// 1-based linear-model number. With smoothing disabled this equals
     /// the leaf's fitted model; with smoothing enabled it is the full
@@ -474,6 +349,9 @@ impl CompiledTree {
         let range = self.term_start[slot] as usize..self.term_start[slot + 1] as usize;
         let terms = range
             .map(|t| {
+                // Invariant: `flatten` is the only writer of
+                // `term_feature`, and it stores `EventId::index()`.
+                #[allow(clippy::expect_used)]
                 let event = EventId::from_index(self.term_feature[t] as usize)
                     .expect("compiled term features are valid event indices");
                 (event, self.term_coef[t])
@@ -497,126 +375,6 @@ impl CompiledTree {
         }
     }
 
-    /// [`CompiledTree::descend`] against the quantized `f32`
-    /// thresholds.
-    #[inline]
-    fn descend32(&self, q: &Quantized, lookup: impl Fn(usize) -> f32) -> usize {
-        let mut id = 0usize;
-        loop {
-            let s = self.slot[id];
-            if s != SPLIT {
-                return s as usize;
-            }
-            let go = usize::from(lookup(self.feature[id] as usize) > q.threshold[id]);
-            id = self.children[2 * id + go] as usize;
-        }
-    }
-
-    /// Branch-free partition of `pairs` by one split test, written into
-    /// `scratch`: rows going left end up in `scratch[..nl]` in order,
-    /// rows going right in `scratch[nl..]` reversed. Returns `nl`.
-    ///
-    /// Each row is written to *both* candidate slots and only the
-    /// chosen cursor advances, so the loop carries no data-dependent
-    /// branch for the predictor to miss. There is no copy-back: the
-    /// recursion ping-pongs, descending into `scratch` with the spent
-    /// `pairs` buffer as the next level's scratch. The reversed right
-    /// half only flips traversal direction — each row's prediction is
-    /// independent, so results are unaffected, and hardware prefetchers
-    /// stream descending sweeps as well as ascending ones.
-    #[inline]
-    fn partition(kernel_node: &KernelNode<'_>, pairs: &[u64], scratch: &mut [u64]) -> usize {
-        let n = pairs.len();
-        let scratch = &mut scratch[..n];
-        let mut l = 0usize;
-        let mut r = n;
-        for &p in pairs {
-            let go = usize::from(kernel_node.col[(p >> 32) as usize] > kernel_node.threshold);
-            scratch[l] = p;
-            scratch[r - 1] = p;
-            l += 1 - go;
-            r -= go;
-        }
-        l
-    }
-
-    /// Partition-descends `pairs` (packed `row << 32 | out_pos`) from
-    /// node `id` and writes each row's prediction to `out[out_pos]`.
-    ///
-    /// At a leaf the folded model runs **term-major**: each term's
-    /// coefficient and column pointer stay in registers while the
-    /// leaf's whole row list accumulates, so the per-(row, term) work
-    /// is one monotone-order gather and one multiply-add into a
-    /// sequential accumulator. Per row the terms still accumulate in
-    /// ascending term order with the intercept added last — exactly the
-    /// association of [`CompiledTree::dot`] — so batch and scalar
-    /// predictions are bit-identical.
-    fn predict_node(
-        &self,
-        kernel: &BatchKernel<'_>,
-        id: usize,
-        pairs: &mut [u64],
-        scratch: &mut [u64],
-        acc: &mut Vec<f64>,
-        out: &mut [f64],
-    ) {
-        if pairs.is_empty() {
-            return;
-        }
-        let s = self.slot[id];
-        if s != SPLIT {
-            let slot = s as usize;
-            let range = self.term_start[slot] as usize..self.term_start[slot + 1] as usize;
-            acc.clear();
-            acc.resize(pairs.len(), 0.0);
-            for t in &kernel.terms[range] {
-                for (a, &p) in acc.iter_mut().zip(pairs.iter()) {
-                    *a += t.coef * t.col[(p >> 32) as usize];
-                }
-            }
-            let intercept = self.intercept[slot];
-            for (&p, &a) in pairs.iter().zip(acc.iter()) {
-                out[p as u32 as usize] = intercept + a;
-            }
-            return;
-        }
-        let nl = Self::partition(&kernel.nodes[id], pairs, scratch);
-        // The buffers swap roles below, so the new row lists must be
-        // sized exactly — scratch can be oversized on a partial block.
-        let (sl, sr) = scratch[..pairs.len()].split_at_mut(nl);
-        let (pl, pr) = pairs.split_at_mut(nl);
-        self.predict_node(kernel, self.children[2 * id] as usize, sl, pl, acc, out);
-        self.predict_node(kernel, self.children[2 * id + 1] as usize, sr, pr, acc, out);
-    }
-
-    /// Partition-descends `pairs` from node `id` and writes each row's
-    /// 1-based linear-model number to `out[out_pos]`.
-    fn classify_node(
-        &self,
-        kernel: &BatchKernel<'_>,
-        id: usize,
-        pairs: &mut [u64],
-        scratch: &mut [u64],
-        out: &mut [u32],
-    ) {
-        if pairs.is_empty() {
-            return;
-        }
-        let s = self.slot[id];
-        if s != SPLIT {
-            let lm = self.lm_index[s as usize];
-            for &p in pairs.iter() {
-                out[p as u32 as usize] = lm;
-            }
-            return;
-        }
-        let nl = Self::partition(&kernel.nodes[id], pairs, scratch);
-        let (sl, sr) = scratch[..pairs.len()].split_at_mut(nl);
-        let (pl, pr) = pairs.split_at_mut(nl);
-        self.classify_node(kernel, self.children[2 * id] as usize, sl, pl, out);
-        self.classify_node(kernel, self.children[2 * id + 1] as usize, sr, pr, out);
-    }
-
     /// Evaluates the folded model of `leaf_slot`. Terms are accumulated
     /// first and the intercept added last — the same association as
     /// [`LinearModel::predict`], so an unsmoothed compiled prediction is
@@ -633,43 +391,19 @@ impl CompiledTree {
         self.intercept[leaf_slot] + acc
     }
 
-    /// [`CompiledTree::dot`] in quantized `f32` arithmetic — the same
-    /// association as the batch `f32` kernel's per-row accumulation, so
-    /// scalar and batch quantized predictions are bit-identical.
-    #[inline]
-    fn dot32(&self, q: &Quantized, leaf_slot: usize, lookup: impl Fn(usize) -> f32) -> f64 {
-        let range = self.term_start[leaf_slot] as usize..self.term_start[leaf_slot + 1] as usize;
-        let coefs = &q.term_coef[range.clone()];
-        let feats = &self.term_feature[range];
-        let mut acc = 0.0f32;
-        for (&c, &f) in coefs.iter().zip(feats) {
-            acc += c * lookup(f as usize);
-        }
-        f64::from(q.intercept[leaf_slot] + acc)
-    }
-
-    /// Predicts CPI for one sample (smoothing already folded in).
+    /// Predicts CPI for one sample (smoothing already folded in). This
+    /// per-row path is the oracle of the batch kernel: every batch entry
+    /// point returns exactly its bits for each row.
     pub fn predict(&self, sample: &Sample) -> f64 {
         let densities = sample.densities();
-        if let Some(q) = &self.quantized {
-            let leaf = self.descend32(q, |f| densities[f] as f32);
-            return self.dot32(q, leaf, |f| densities[f] as f32);
-        }
         let leaf = self.descend(|f| densities[f]);
         self.dot(leaf, |f| densities[f])
     }
 
-    /// The 1-based linear-model number the sample classifies into
-    /// (under the engine's precision — a quantized engine descends its
-    /// `f32` thresholds, consistent with its predictions).
+    /// The 1-based linear-model number the sample classifies into.
     pub fn classify(&self, sample: &Sample) -> usize {
         let densities = sample.densities();
-        let slot = if let Some(q) = &self.quantized {
-            self.descend32(q, |f| densities[f] as f32)
-        } else {
-            self.descend(|f| densities[f])
-        };
-        self.lm_index[slot] as usize
+        self.lm_index[self.descend(|f| densities[f])] as usize
     }
 
     /// Predicts CPI for every sample of a dataset by partitioning row
@@ -678,29 +412,16 @@ impl CompiledTree {
     /// With a thread budget above 1 the rows are split into contiguous
     /// chunks processed on scoped worker threads; each element is a
     /// pure function of its sample, so the output is **bit-identical**
-    /// for every thread count — and, on the default f64 path, for SIMD
-    /// on and off.
+    /// for every thread count and equals [`CompiledTree::predict`] row
+    /// by row.
     pub fn predict_batch(&self, data: &Dataset) -> Vec<f64> {
         let _span = obskit::span("engine", "engine.predict_batch");
         self.count_batch(data.len(), obskit::metrics::Metric::EngineRowsPredicted);
-        let store = data.columns();
+        let kernel = SimdKernel::new(self, data.columns());
         let mut out = vec![0.0; data.len()];
-        if let Some(q) = &self.quantized {
-            let kernel = SimdKernel::new(self, store);
-            self.for_each_chunk(&mut out, |slice, start| {
-                self.predict_chunk_f32(q, &kernel, slice, Rows::Range { start });
-            });
-        } else if self.simd_active() {
-            let kernel = SimdKernel::new(self, store);
-            self.for_each_chunk(&mut out, |slice, start| {
-                self.predict_chunk_simd(&kernel, slice, Rows::Range { start });
-            });
-        } else {
-            let kernel = BatchKernel::new(self, store);
-            self.for_each_chunk(&mut out, |slice, start| {
-                self.predict_chunk(&kernel, slice, |j| start + j);
-            });
-        }
+        self.for_each_chunk(&mut out, |slice, start| {
+            self.predict_chunk(&kernel, slice, Rows::Range { start });
+        });
         out
     }
 
@@ -715,24 +436,11 @@ impl CompiledTree {
     pub fn predict_indices(&self, data: &Dataset, indices: &[u32]) -> Vec<f64> {
         let _span = obskit::span("engine", "engine.predict_indices");
         self.count_batch(indices.len(), obskit::metrics::Metric::EngineRowsPredicted);
-        let store = data.columns();
+        let kernel = SimdKernel::new(self, data.columns());
         let mut out = vec![0.0; indices.len()];
-        if let Some(q) = &self.quantized {
-            let kernel = SimdKernel::new(self, store);
-            self.for_each_chunk(&mut out, |slice, start| {
-                self.predict_chunk_f32(q, &kernel, slice, Rows::Indices(&indices[start..]));
-            });
-        } else if self.simd_active() {
-            let kernel = SimdKernel::new(self, store);
-            self.for_each_chunk(&mut out, |slice, start| {
-                self.predict_chunk_simd(&kernel, slice, Rows::Indices(&indices[start..]));
-            });
-        } else {
-            let kernel = BatchKernel::new(self, store);
-            self.for_each_chunk(&mut out, |slice, start| {
-                self.predict_chunk(&kernel, slice, |j| indices[start + j] as usize);
-            });
-        }
+        self.for_each_chunk(&mut out, |slice, start| {
+            self.predict_chunk(&kernel, slice, Rows::Indices(&indices[start..]));
+        });
         out
     }
 
@@ -742,83 +450,50 @@ impl CompiledTree {
     pub fn classify_batch(&self, data: &Dataset) -> Vec<u32> {
         let _span = obskit::span("engine", "engine.classify_batch");
         self.count_batch(data.len(), obskit::metrics::Metric::EngineRowsClassified);
-        let store = data.columns();
+        let kernel = SimdKernel::new(self, data.columns());
         let mut out = vec![0u32; data.len()];
-        if let Some(q) = &self.quantized {
-            let kernel = SimdKernel::new(self, store);
-            self.for_each_chunk(&mut out, |slice, start| {
-                self.classify_chunk_f32(q, &kernel, slice, Rows::Range { start });
+        self.for_each_chunk(&mut out, |slice, start| {
+            let rows = Rows::Range { start };
+            self.for_each_block(&kernel, slice, rows, |views, idx, scratch, block| {
+                self.classify_node(&kernel, views, 0, idx, scratch, block);
             });
-        } else if self.simd_active() {
-            let kernel = SimdKernel::new(self, store);
-            self.for_each_chunk(&mut out, |slice, start| {
-                self.classify_chunk_simd(&kernel, slice, Rows::Range { start });
-            });
-        } else {
-            let kernel = BatchKernel::new(self, store);
-            self.for_each_chunk(&mut out, |slice, start| {
-                let mut pairs = Vec::with_capacity(BLOCK.min(slice.len()));
-                let mut scratch = vec![0u64; BLOCK.min(slice.len())];
-                for (b, block) in slice.chunks_mut(BLOCK).enumerate() {
-                    Self::pack_rows(&mut pairs, block.len(), |j| start + b * BLOCK + j);
-                    self.classify_node(&kernel, 0, &mut pairs, &mut scratch, block);
-                }
-            });
-        }
+        });
         out
     }
 
-    /// Packed partition entries for one block: the dataset row in the
-    /// high half (what the split tests and folded terms gather), the
-    /// block-local output position in the low half (where the result
-    /// lands, preserving `row_of` order).
-    fn pack_rows(pairs: &mut Vec<u64>, len: usize, row_of: impl Fn(usize) -> usize) {
-        pairs.clear();
-        pairs.extend((0..len).map(|j| (row_of(j) as u64) << 32 | j as u64));
-    }
-
-    /// Fills `out` with predictions for the rows `row_of(0..out.len())`,
-    /// one partition descent per [`BLOCK`]-sized stretch.
-    fn predict_chunk(
-        &self,
-        kernel: &BatchKernel<'_>,
-        out: &mut [f64],
-        row_of: impl Fn(usize) -> usize,
-    ) {
-        let mut pairs = Vec::with_capacity(BLOCK.min(out.len()));
-        let mut scratch = vec![0u64; BLOCK.min(out.len())];
-        let mut acc = Vec::with_capacity(BLOCK.min(out.len()));
-        for (b, block) in out.chunks_mut(BLOCK).enumerate() {
-            Self::pack_rows(&mut pairs, block.len(), |j| row_of(b * BLOCK + j));
-            self.predict_node(kernel, 0, &mut pairs, &mut scratch, &mut acc, block);
-        }
-    }
-
-    /// The SIMD kernels' cache-block row count: the per-engine override
-    /// if set, otherwise [`simd::block_rows`] sized to this tree's used
-    /// columns (`bytes_per_value` is 8 for the f64 kernel, 4 for f32).
-    fn effective_block_rows(&self, n_used: usize, bytes_per_value: usize) -> usize {
+    /// The kernel's cache-block row count: the per-engine override if
+    /// set, otherwise [`simd::block_rows`] sized to this tree's `n_used`
+    /// columns.
+    fn effective_block_rows(&self, n_used: usize) -> usize {
         self.block_rows.unwrap_or_else(|| {
-            // Per row: the used column windows, two u32 index buffers,
-            // the accumulator, and the output element.
-            simd::block_rows(n_used * bytes_per_value + 24)
+            // Per row: the used f64 column windows, two u32 index
+            // buffers, the accumulator, and the output element.
+            simd::block_rows(n_used * 8 + 24)
         })
     }
 
-    /// Vectorized [`CompiledTree::predict_chunk`]: rows in cache-sized
-    /// blocks, block-local `u32` row lists, lane-mask partitions, and
-    /// four-lane unfused FMA at the leaves. Bit-identical to the scalar
-    /// kernel (see the module docs).
-    fn predict_chunk_simd(&self, kernel: &SimdKernel<'_>, out: &mut [f64], rows: Rows<'_>) {
+    /// Runs one partition descent per cache-sized block of `out`:
+    /// `descend(views, idx, scratch, block)` gets the block's window of
+    /// every used column, the block-local row list `0..len`, a
+    /// partition scratch buffer, and the block's output cells. Counts
+    /// the blocks under `engine.blocks`.
+    fn for_each_block<T>(
+        &self,
+        kernel: &SimdKernel<'_>,
+        out: &mut [T],
+        rows: Rows<'_>,
+        mut descend: impl FnMut(&[&[f64]], &mut [u32], &mut [u32], &mut [T]),
+    ) {
         if out.is_empty() {
             return;
         }
-        let cap = self
-            .effective_block_rows(kernel.used.len(), 8)
-            .min(out.len());
+        let cap = self.effective_block_rows(kernel.used.len()).min(out.len());
+        obskit::metrics::add(
+            obskit::metrics::Metric::EngineBlocks,
+            out.len().div_ceil(cap) as u64,
+        );
         let mut idx: Vec<u32> = Vec::with_capacity(cap);
         let mut scratch = vec![0u32; cap];
-        let mut acc: Vec<f64> = Vec::with_capacity(cap);
         // Gathered structure-of-arrays scratch, only needed when the
         // rows are arbitrary indices; contiguous ranges borrow the
         // columns directly.
@@ -827,21 +502,30 @@ impl CompiledTree {
             Rows::Indices(_) => vec![0.0; kernel.used.len() * cap],
         };
         for (b, block) in out.chunks_mut(cap).enumerate() {
-            let b0 = b * cap;
             let len = block.len();
             idx.clear();
             idx.extend(0..len as u32);
-            let views = block_views(&kernel.used, rows, b0, len, cap, &mut gathered);
-            self.predict_node_simd(kernel, &views, 0, &mut idx, &mut scratch, &mut acc, block);
+            let views = block_views(&kernel.used, rows, b * cap, len, cap, &mut gathered);
+            descend(&views, &mut idx, &mut scratch, block);
         }
     }
 
-    /// Recursive partition descent of the f64 SIMD kernel over
-    /// block-local `u32` row lists. `views` holds this block's window
-    /// of every used column, so `views[slot][i]` is row `i`'s value and
-    /// `out[i]` its output cell — one index serves gather and store.
+    /// Fills `out` with predictions for one chunk's rows: cache-sized
+    /// blocks, block-local `u32` row lists, lane-mask partitions, and
+    /// four-lane unfused multiply-adds at the leaves.
+    fn predict_chunk(&self, kernel: &SimdKernel<'_>, out: &mut [f64], rows: Rows<'_>) {
+        let mut acc: Vec<f64> = Vec::new();
+        self.for_each_block(kernel, out, rows, |views, idx, scratch, block| {
+            self.predict_node(kernel, views, 0, idx, scratch, &mut acc, block);
+        });
+    }
+
+    /// Recursive partition descent over block-local `u32` row lists.
+    /// `views` holds this block's window of every used column, so
+    /// `views[slot][i]` is row `i`'s value and `out[i]` its output
+    /// cell — one index serves gather and store.
     #[allow(clippy::too_many_arguments)]
-    fn predict_node_simd(
+    fn predict_node(
         &self,
         kernel: &SimdKernel<'_>,
         views: &[&[f64]],
@@ -856,39 +540,24 @@ impl CompiledTree {
         }
         let s = self.slot[id];
         if s != SPLIT {
-            self.eval_leaf_simd(kernel, views, s as usize, idx, acc, out);
+            self.eval_leaf(kernel, views, s as usize, idx, acc, out);
             return;
         }
         let col = views[kernel.plan.node_slot[id] as usize];
-        let nl = partition_lanes_f64(col, self.threshold[id], idx, scratch);
+        let nl = partition_lanes(col, self.threshold[id], idx, scratch);
         let (sl, sr) = scratch[..idx.len()].split_at_mut(nl);
         let (il, ir) = idx.split_at_mut(nl);
-        self.predict_node_simd(
-            kernel,
-            views,
-            self.children[2 * id] as usize,
-            sl,
-            il,
-            acc,
-            out,
-        );
-        self.predict_node_simd(
-            kernel,
-            views,
-            self.children[2 * id + 1] as usize,
-            sr,
-            ir,
-            acc,
-            out,
-        );
+        let (left, right) = (self.children[2 * id], self.children[2 * id + 1]);
+        self.predict_node(kernel, views, left as usize, sl, il, acc, out);
+        self.predict_node(kernel, views, right as usize, sr, ir, acc, out);
     }
 
     /// Term-major vectorized evaluation of one leaf's folded model over
-    /// its block-local row list. Per row the association is exactly the
-    /// scalar kernel's — terms ascending, each product rounded before
-    /// its add (unfused), intercept last — so results are bit-identical
-    /// to [`CompiledTree::dot`].
-    fn eval_leaf_simd(
+    /// its block-local row list. Per row the association is exactly
+    /// [`CompiledTree::dot`]'s — terms ascending, each product rounded
+    /// before its add (unfused), intercept last — so results are
+    /// bit-identical to the per-row path.
+    fn eval_leaf(
         &self,
         kernel: &SimdKernel<'_>,
         views: &[&[f64]],
@@ -902,7 +571,6 @@ impl CompiledTree {
             self.term_start[slot + 1] as usize,
         );
         let m = idx.len();
-        let lanes = m - m % F64x4::LANES;
         acc.clear();
         acc.resize(m, 0.0);
         let intercept = self.intercept[slot];
@@ -921,13 +589,14 @@ impl CompiledTree {
             let k = (end - t).min(4);
             let last = (t + k == end).then_some((intercept, &mut *out));
             match k {
-                1 => self.sweep_terms_f64::<1>(kernel, views, t, idx, acc, lanes, last),
-                2 => self.sweep_terms_f64::<2>(kernel, views, t, idx, acc, lanes, last),
-                3 => self.sweep_terms_f64::<3>(kernel, views, t, idx, acc, lanes, last),
-                _ => self.sweep_terms_f64::<4>(kernel, views, t, idx, acc, lanes, last),
+                1 => self.sweep_terms::<1>(kernel, views, t, idx, acc, last),
+                2 => self.sweep_terms::<2>(kernel, views, t, idx, acc, last),
+                3 => self.sweep_terms::<3>(kernel, views, t, idx, acc, last),
+                _ => self.sweep_terms::<4>(kernel, views, t, idx, acc, last),
             }
             t += k;
         }
+        let lanes = m - m % F64x4::LANES;
         obskit::metrics::add(obskit::metrics::Metric::EngineSimdRows, lanes as u64);
         obskit::metrics::add(
             obskit::metrics::Metric::EngineScalarTailRows,
@@ -938,60 +607,53 @@ impl CompiledTree {
     /// One pass over a leaf's rows applying `K` consecutive terms. Per
     /// row the `K` products join the accumulator in ascending-term
     /// order, each rounded before its add (unfused [`F64x4::mul_add`])
-    /// — exactly the scalar chain's association — so the unroll changes
+    /// — exactly the per-row chain's association — so the unroll changes
     /// nothing bitwise. When `finish` carries the leaf's intercept the
     /// sweep is the model's last: instead of storing the accumulator it
     /// writes `intercept + acc` straight to the output rows, the same
-    /// final add the scalar [`CompiledTree::dot`] performs.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_terms_f64<const K: usize>(
+    /// final add [`CompiledTree::dot`] performs.
+    fn sweep_terms<const K: usize>(
         &self,
         kernel: &SimdKernel<'_>,
         views: &[&[f64]],
         t0: usize,
         idx: &[u32],
         acc: &mut [f64],
-        lanes: usize,
         finish: Option<(f64, &mut [f64])>,
     ) {
         let cols: [&[f64]; K] =
             std::array::from_fn(|k| views[kernel.plan.term_slot[t0 + k] as usize]);
         let coefs: [f64; K] = std::array::from_fn(|k| self.term_coef[t0 + k]);
         let splats: [F64x4; K] = std::array::from_fn(|k| F64x4::splat(coefs[k]));
+        let (quads, idx_tail) = idx.as_chunks::<4>();
+        let (acc_quads, acc_tail) = acc.as_chunks_mut::<4>();
         if let Some((intercept, out)) = finish {
             let b4 = F64x4::splat(intercept);
-            let mut j = 0;
-            while j < lanes {
-                let g: [u32; 4] = idx[j..j + 4].try_into().expect("full lane");
-                let mut a = F64x4::from_slice(&acc[j..]);
+            for (g, a) in quads.iter().zip(acc_quads.iter()) {
+                let mut a = F64x4(*a);
                 for k in 0..K {
-                    a = F64x4::gather(cols[k], &g).mul_add(splats[k], a);
+                    a = F64x4::gather(cols[k], g).mul_add(splats[k], a);
                 }
-                let mut r = [0.0; 4];
-                b4.add(a).write_to(&mut r);
+                let r = b4.add(a).0;
                 for k in 0..4 {
                     out[g[k] as usize] = r[k];
                 }
-                j += 4;
             }
-            for (&i, a) in idx[lanes..].iter().zip(&mut acc[lanes..]) {
+            for (&i, a) in idx_tail.iter().zip(acc_tail) {
                 for k in 0..K {
                     *a += coefs[k] * cols[k][i as usize];
                 }
                 out[i as usize] = intercept + *a;
             }
         } else {
-            let mut j = 0;
-            while j < lanes {
-                let g: [u32; 4] = idx[j..j + 4].try_into().expect("full lane");
-                let mut a = F64x4::from_slice(&acc[j..]);
+            for (g, a) in quads.iter().zip(acc_quads) {
+                let mut v = F64x4(*a);
                 for k in 0..K {
-                    a = F64x4::gather(cols[k], &g).mul_add(splats[k], a);
+                    v = F64x4::gather(cols[k], g).mul_add(splats[k], v);
                 }
-                a.write_to(&mut acc[j..]);
-                j += 4;
+                *a = v.0;
             }
-            for (&i, a) in idx[lanes..].iter().zip(&mut acc[lanes..]) {
+            for (&i, a) in idx_tail.iter().zip(acc_tail) {
                 for k in 0..K {
                     *a += coefs[k] * cols[k][i as usize];
                 }
@@ -999,33 +661,10 @@ impl CompiledTree {
         }
     }
 
-    /// Vectorized classify: same lane-mask partition descent as
-    /// [`CompiledTree::predict_chunk_simd`], leaf writes the model
+    /// Recursive partition descent of the classifier: the same descent
+    /// as [`CompiledTree::predict_node`], the leaf writes its model
     /// number.
-    fn classify_chunk_simd(&self, kernel: &SimdKernel<'_>, out: &mut [u32], rows: Rows<'_>) {
-        if out.is_empty() {
-            return;
-        }
-        let cap = self
-            .effective_block_rows(kernel.used.len(), 8)
-            .min(out.len());
-        let mut idx: Vec<u32> = Vec::with_capacity(cap);
-        let mut scratch = vec![0u32; cap];
-        // Classify is only entered with contiguous ranges, so the
-        // gather buffer stays empty.
-        let mut gathered: Vec<f64> = Vec::new();
-        for (b, block) in out.chunks_mut(cap).enumerate() {
-            let b0 = b * cap;
-            let len = block.len();
-            idx.clear();
-            idx.extend(0..len as u32);
-            let views = block_views(&kernel.used, rows, b0, len, cap, &mut gathered);
-            self.classify_node_simd(kernel, &views, 0, &mut idx, &mut scratch, block);
-        }
-    }
-
-    /// Recursive descent of the vectorized classifier.
-    fn classify_node_simd(
+    fn classify_node(
         &self,
         kernel: &SimdKernel<'_>,
         views: &[&[f64]],
@@ -1052,303 +691,21 @@ impl CompiledTree {
             return;
         }
         let col = views[kernel.plan.node_slot[id] as usize];
-        let nl = partition_lanes_f64(col, self.threshold[id], idx, scratch);
+        let nl = partition_lanes(col, self.threshold[id], idx, scratch);
         let (sl, sr) = scratch[..idx.len()].split_at_mut(nl);
         let (il, ir) = idx.split_at_mut(nl);
-        self.classify_node_simd(kernel, views, self.children[2 * id] as usize, sl, il, out);
-        self.classify_node_simd(
-            kernel,
-            views,
-            self.children[2 * id + 1] as usize,
-            sr,
-            ir,
-            out,
-        );
+        let (left, right) = (self.children[2 * id], self.children[2 * id + 1]);
+        self.classify_node(kernel, views, left as usize, sl, il, out);
+        self.classify_node(kernel, views, right as usize, sr, ir, out);
     }
 
-    /// The quantized `f32` fast path. The partition descent runs on the
-    /// **original `f64` columns** against the precomputed `f64`-domain
-    /// cut points of [`f32_cut_as_f64`] — exactly the comparisons the
-    /// scalar [`CompiledTree::descend32`] makes after narrowing, with
-    /// no conversion pass over the data — and leaf sweeps narrow
-    /// in-register ([`F32x8::gather_narrow`]). Per-row association
-    /// matches [`CompiledTree::dot32`] bitwise.
-    fn predict_chunk_f32(
-        &self,
-        q: &Quantized,
-        kernel: &SimdKernel<'_>,
-        out: &mut [f64],
-        rows: Rows<'_>,
-    ) {
-        if out.is_empty() {
-            return;
-        }
-        let cap = self
-            .effective_block_rows(kernel.used.len(), 8)
-            .min(out.len());
-        let mut idx: Vec<u32> = Vec::with_capacity(cap);
-        let mut scratch = vec![0u32; cap];
-        let mut acc: Vec<f32> = Vec::with_capacity(cap);
-        let mut gathered: Vec<f64> = match rows {
-            Rows::Range { .. } => Vec::new(),
-            Rows::Indices(_) => vec![0.0; kernel.used.len() * cap],
-        };
-        for (b, block) in out.chunks_mut(cap).enumerate() {
-            let b0 = b * cap;
-            let len = block.len();
-            idx.clear();
-            idx.extend(0..len as u32);
-            let views = block_views(&kernel.used, rows, b0, len, cap, &mut gathered);
-            self.predict_node_f32(
-                q,
-                kernel,
-                &views,
-                0,
-                &mut idx,
-                &mut scratch,
-                &mut acc,
-                block,
-            );
-        }
-    }
-
-    /// Recursive partition descent of the `f32` kernel over the
-    /// original `f64` columns.
-    #[allow(clippy::too_many_arguments)]
-    fn predict_node_f32(
-        &self,
-        q: &Quantized,
-        kernel: &SimdKernel<'_>,
-        views: &[&[f64]],
-        id: usize,
-        idx: &mut [u32],
-        scratch: &mut [u32],
-        acc: &mut Vec<f32>,
-        out: &mut [f64],
-    ) {
-        if idx.is_empty() {
-            return;
-        }
-        let s = self.slot[id];
-        if s != SPLIT {
-            self.eval_leaf_f32(q, kernel, views, s as usize, idx, acc, out);
-            return;
-        }
-        let col = views[kernel.plan.node_slot[id] as usize];
-        let nl = partition_lanes_f64(col, q.threshold64[id], idx, scratch);
-        let (sl, sr) = scratch[..idx.len()].split_at_mut(nl);
-        let (il, ir) = idx.split_at_mut(nl);
-        self.predict_node_f32(
-            q,
-            kernel,
-            views,
-            self.children[2 * id] as usize,
-            sl,
-            il,
-            acc,
-            out,
-        );
-        self.predict_node_f32(
-            q,
-            kernel,
-            views,
-            self.children[2 * id + 1] as usize,
-            sr,
-            ir,
-            acc,
-            out,
-        );
-    }
-
-    /// Eight-lane term-major evaluation of one leaf's quantized model,
-    /// narrowing each gathered value to `f32` in-register.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_leaf_f32(
-        &self,
-        q: &Quantized,
-        kernel: &SimdKernel<'_>,
-        views: &[&[f64]],
-        slot: usize,
-        idx: &[u32],
-        acc: &mut Vec<f32>,
-        out: &mut [f64],
-    ) {
-        let (start, end) = (
-            self.term_start[slot] as usize,
-            self.term_start[slot + 1] as usize,
-        );
-        let m = idx.len();
-        let lanes = m - m % F32x8::LANES;
-        acc.clear();
-        acc.resize(m, 0.0);
-        let intercept = q.intercept[slot];
-        if start == end {
-            for &i in idx {
-                out[i as usize] = f64::from(intercept);
-            }
-        }
-        let mut t = start;
-        while t < end {
-            let k = (end - t).min(4);
-            let last = (t + k == end).then_some((intercept, &mut *out));
-            match k {
-                1 => self.sweep_terms_f32::<1>(q, kernel, views, t, idx, acc, lanes, last),
-                2 => self.sweep_terms_f32::<2>(q, kernel, views, t, idx, acc, lanes, last),
-                3 => self.sweep_terms_f32::<3>(q, kernel, views, t, idx, acc, lanes, last),
-                _ => self.sweep_terms_f32::<4>(q, kernel, views, t, idx, acc, lanes, last),
-            }
-            t += k;
-        }
-        obskit::metrics::add(obskit::metrics::Metric::EngineSimdRows, lanes as u64);
-        obskit::metrics::add(
-            obskit::metrics::Metric::EngineScalarTailRows,
-            (m - lanes) as u64,
-        );
-    }
-
-    /// The `f32` counterpart of [`CompiledTree::sweep_terms_f64`]:
-    /// ascending-term single-rounded `f32` adds, matching
-    /// [`CompiledTree::dot32`]'s chain per row, with the final sweep
-    /// widening `intercept + acc` to `f64` on its way to the output.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_terms_f32<const K: usize>(
-        &self,
-        q: &Quantized,
-        kernel: &SimdKernel<'_>,
-        views: &[&[f64]],
-        t0: usize,
-        idx: &[u32],
-        acc: &mut [f32],
-        lanes: usize,
-        finish: Option<(f32, &mut [f64])>,
-    ) {
-        let cols: [&[f64]; K] =
-            std::array::from_fn(|k| views[kernel.plan.term_slot[t0 + k] as usize]);
-        let coefs: [f32; K] = std::array::from_fn(|k| q.term_coef[t0 + k]);
-        let splats: [F32x8; K] = std::array::from_fn(|k| F32x8::splat(coefs[k]));
-        if let Some((intercept, out)) = finish {
-            let b8 = F32x8::splat(intercept);
-            let mut j = 0;
-            while j < lanes {
-                let g: [u32; 8] = idx[j..j + 8].try_into().expect("full lane");
-                let mut a = F32x8::from_slice(&acc[j..]);
-                for k in 0..K {
-                    a = F32x8::gather_narrow(cols[k], &g).mul_add(splats[k], a);
-                }
-                let mut r = [0.0f32; 8];
-                b8.add(a).write_to(&mut r);
-                for k in 0..8 {
-                    out[g[k] as usize] = f64::from(r[k]);
-                }
-                j += 8;
-            }
-            for (&i, a) in idx[lanes..].iter().zip(&mut acc[lanes..]) {
-                for k in 0..K {
-                    *a += coefs[k] * (cols[k][i as usize] as f32);
-                }
-                out[i as usize] = f64::from(intercept + *a);
-            }
-        } else {
-            let mut j = 0;
-            while j < lanes {
-                let g: [u32; 8] = idx[j..j + 8].try_into().expect("full lane");
-                let mut a = F32x8::from_slice(&acc[j..]);
-                for k in 0..K {
-                    a = F32x8::gather_narrow(cols[k], &g).mul_add(splats[k], a);
-                }
-                a.write_to(&mut acc[j..]);
-                j += 8;
-            }
-            for (&i, a) in idx[lanes..].iter().zip(&mut acc[lanes..]) {
-                for k in 0..K {
-                    *a += coefs[k] * (cols[k][i as usize] as f32);
-                }
-            }
-        }
-    }
-
-    /// Quantized classify over whole datasets: the `f64`-domain cut
-    /// points steer every row to the leaf its `f32` descent reaches.
-    fn classify_chunk_f32(
-        &self,
-        q: &Quantized,
-        kernel: &SimdKernel<'_>,
-        out: &mut [u32],
-        rows: Rows<'_>,
-    ) {
-        if out.is_empty() {
-            return;
-        }
-        let cap = self
-            .effective_block_rows(kernel.used.len(), 8)
-            .min(out.len());
-        let mut idx: Vec<u32> = Vec::with_capacity(cap);
-        let mut scratch = vec![0u32; cap];
-        let mut gathered: Vec<f64> = Vec::new();
-        for (b, block) in out.chunks_mut(cap).enumerate() {
-            let b0 = b * cap;
-            let len = block.len();
-            idx.clear();
-            idx.extend(0..len as u32);
-            let views = block_views(&kernel.used, rows, b0, len, cap, &mut gathered);
-            self.classify_node_f32(q, kernel, &views, 0, &mut idx, &mut scratch, block);
-        }
-    }
-
-    /// Recursive descent of the quantized classifier.
-    #[allow(clippy::too_many_arguments)]
-    fn classify_node_f32(
-        &self,
-        q: &Quantized,
-        kernel: &SimdKernel<'_>,
-        views: &[&[f64]],
-        id: usize,
-        idx: &mut [u32],
-        scratch: &mut [u32],
-        out: &mut [u32],
-    ) {
-        if idx.is_empty() {
-            return;
-        }
-        let s = self.slot[id];
-        if s != SPLIT {
-            let lm = self.lm_index[s as usize];
-            for &i in idx.iter() {
-                out[i as usize] = lm;
-            }
-            return;
-        }
-        let col = views[kernel.plan.node_slot[id] as usize];
-        let nl = partition_lanes_f64(col, q.threshold64[id], idx, scratch);
-        let (sl, sr) = scratch[..idx.len()].split_at_mut(nl);
-        let (il, ir) = idx.split_at_mut(nl);
-        self.classify_node_f32(
-            q,
-            kernel,
-            views,
-            self.children[2 * id] as usize,
-            sl,
-            il,
-            out,
-        );
-        self.classify_node_f32(
-            q,
-            kernel,
-            views,
-            self.children[2 * id + 1] as usize,
-            sr,
-            ir,
-            out,
-        );
-    }
-
-    /// Records one batch entry's telemetry: batch and block counts plus
-    /// the row-count distribution and rows under `rows_metric`. Outside
-    /// the row loops, so per-row cost is untouched.
+    /// Records one batch entry's telemetry: the batch count plus the
+    /// row-count distribution and rows under `rows_metric` (blocks are
+    /// counted where the kernel cuts them). Outside the row loops, so
+    /// per-row cost is untouched.
     fn count_batch(&self, rows: usize, rows_metric: obskit::metrics::Metric) {
         use obskit::metrics::{add, incr, observe, Hist, Metric};
         incr(Metric::EngineBatches);
-        add(Metric::EngineBlocks, rows.div_ceil(BLOCK) as u64);
         add(rows_metric, rows as u64);
         observe(Hist::EngineBatchRows, rows as u64);
     }
@@ -1385,117 +742,6 @@ impl ModelTree {
     /// the layout and folding algebra.
     pub fn compile(&self) -> CompiledTree {
         CompiledTree::new(self)
-    }
-}
-
-/// Quantized `f32` tables of a [`Precision::F32Fast`] engine, aligned
-/// with the f64 arrays they shadow, plus the per-leaf error-bound
-/// factors derived when the tables are built.
-#[derive(Debug, Clone, PartialEq)]
-struct Quantized {
-    /// Per node: `threshold as f32` — what the scalar `f32` descent
-    /// compares against.
-    threshold: Vec<f32>,
-    /// Per node: the `f64`-domain cut point equivalent to the `f32`
-    /// comparison ([`f32_cut_as_f64`]), letting the batch kernel
-    /// partition the original `f64` columns directly — no `f32` copy
-    /// of the data — while descending to exactly the leaf the scalar
-    /// `f32` descent reaches.
-    threshold64: Vec<f64>,
-    /// Per leaf slot: `intercept as f32`.
-    intercept: Vec<f32>,
-    /// Per term: `term_coef as f32`.
-    term_coef: Vec<f32>,
-    /// Per leaf slot: the rounding-error factor `γ_{k+4}` of
-    /// [`CompiledTree::f32_error_bound`].
-    gamma: Vec<f64>,
-}
-
-impl Quantized {
-    fn build(tree: &CompiledTree) -> Quantized {
-        let u = f64::from(f32::EPSILON);
-        let gamma = (0..tree.lm_index.len())
-            .map(|slot| {
-                let k = (tree.term_start[slot + 1] - tree.term_start[slot]) as f64;
-                let mu = (k + 4.0) * u;
-                let g = mu / (1.0 - mu);
-                // With k ≤ N_EVENTS the factor is a few ULPs of f32 —
-                // a violation means the tables are unusable, so check
-                // at quantization time rather than per prediction.
-                assert!(
-                    g.is_finite() && g < 1e-4,
-                    "f32 error-bound factor out of range for leaf {slot}: {g}"
-                );
-                g
-            })
-            .collect();
-        let threshold: Vec<f32> = tree.threshold.iter().map(|&t| t as f32).collect();
-        let threshold64 = threshold.iter().map(|&t| f32_cut_as_f64(t)).collect();
-        Quantized {
-            threshold,
-            threshold64,
-            intercept: tree.intercept.iter().map(|&b| b as f32).collect(),
-            term_coef: tree.term_coef.iter().map(|&c| c as f32).collect(),
-            gamma,
-        }
-    }
-}
-
-/// The next `f32` above `t` in `total_cmp` order (bit-increment on the
-/// sign-magnitude representation; `t` must be finite).
-fn next_up_f32(t: f32) -> f32 {
-    let bits = t.to_bits();
-    if t == 0.0 {
-        f32::from_bits(1) // smallest positive subnormal, for ±0
-    } else if bits >> 31 == 0 {
-        f32::from_bits(bits + 1)
-    } else {
-        f32::from_bits(bits - 1)
-    }
-}
-
-/// The next `f64` below `x` (`x` must be finite or `+∞`, not `−∞`).
-fn next_down_f64(x: f64) -> f64 {
-    if x == f64::INFINITY {
-        return f64::MAX;
-    }
-    let bits = x.to_bits();
-    if x == 0.0 {
-        f64::from_bits(1 | (1 << 63)) // largest negative subnormal
-    } else if bits >> 63 == 0 {
-        f64::from_bits(bits - 1)
-    } else {
-        f64::from_bits(bits + 1)
-    }
-}
-
-/// The largest `f64` cut point `T` such that for every `f64` value `x`
-///
-/// ```text
-/// (x as f32) <= t   ⟺   x <= T
-/// ```
-///
-/// so the quantized descent's `f32` comparison `x32 > t` is exactly the
-/// `f64` comparison `x > T` — the batch kernel never has to narrow the
-/// data columns. `T` is the last `f64` that still rounds (to nearest,
-/// ties to even) to at most `t`: the midpoint `m` between `t` and the
-/// next `f32` up is exactly representable in `f64`, belongs to the
-/// left side iff it rounds down (checked by performing the rounding),
-/// and everything strictly between `t` and `m` rounds to `t`. NaN
-/// behavior matches too: a NaN fails both `>` comparisons.
-fn f32_cut_as_f64(t: f32) -> f64 {
-    debug_assert!(t.is_finite(), "split thresholds are finite");
-    let up = next_up_f32(t);
-    if up.is_finite() {
-        let mid = 0.5 * (f64::from(t) + f64::from(up));
-        if (mid as f32) <= t {
-            mid
-        } else {
-            next_down_f64(mid)
-        }
-    } else {
-        // t = f32::MAX: values from 2^128 − 2^103 upward round to +∞.
-        next_down_f64((2.0f64).powi(128) - (2.0f64).powi(103))
     }
 }
 
@@ -1544,25 +790,30 @@ fn block_views<'g>(
     }
 }
 
-/// Lane-mask partition of `idx` by `col[i] > threshold`, written into
-/// `scratch` exactly like [`CompiledTree::partition`] (left prefix in
-/// order, right suffix reversed; returns the left count). The
-/// comparisons run lane-width — eight rows gather into two [`F64x4`]s
-/// and emit one eight-wide mask — and only the cursor advance is
-/// scalar, which is branchless either way.
+/// Branch-free lane-mask partition of `idx` by `col[i] > threshold`,
+/// written into `scratch`: rows going left end up in `scratch[..nl]` in
+/// order, rows going right in `scratch[nl..]` reversed. Returns `nl`.
+///
+/// The comparisons run lane-width — eight rows gather into two
+/// [`F64x4`]s and emit one eight-wide mask. Each row is then written to
+/// *both* candidate slots and only the chosen cursor advances, so the
+/// loop carries no data-dependent branch for the predictor to miss.
+/// There is no copy-back: the recursion ping-pongs, descending into
+/// `scratch` with the spent `idx` buffer as the next level's scratch.
+/// The reversed right half only flips traversal direction — each row's
+/// prediction is independent, so results are unaffected.
 #[inline]
-fn partition_lanes_f64(col: &[f64], threshold: f64, idx: &[u32], scratch: &mut [u32]) -> usize {
+fn partition_lanes(col: &[f64], threshold: f64, idx: &[u32], scratch: &mut [u32]) -> usize {
     let n = idx.len();
     let scratch = &mut scratch[..n];
     let mut l = 0usize;
     let mut r = n;
     let t4 = F64x4::splat(threshold);
-    let mut chunks = idx.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo: [u32; 4] = ch[..4].try_into().expect("full lane");
-        let hi: [u32; 4] = ch[4..].try_into().expect("full lane");
-        let ma = F64x4::gather(col, &lo).gt(t4);
-        let mb = F64x4::gather(col, &hi).gt(t4);
+    let (octets, tail) = idx.as_chunks::<8>();
+    for ch in octets {
+        let [a0, a1, a2, a3, b0, b1, b2, b3] = *ch;
+        let ma = F64x4::gather(col, &[a0, a1, a2, a3]).gt(t4);
+        let mb = F64x4::gather(col, &[b0, b1, b2, b3]).gt(t4);
         let mut mask = [false; 8];
         mask[..4].copy_from_slice(&ma);
         mask[4..].copy_from_slice(&mb);
@@ -1574,7 +825,7 @@ fn partition_lanes_f64(col: &[f64], threshold: f64, idx: &[u32], scratch: &mut [
             r -= go;
         }
     }
-    for &i in chunks.remainder() {
+    for &i in tail {
         let go = usize::from(col[i as usize] > threshold);
         scratch[l] = i;
         scratch[r - 1] = i;
@@ -1584,61 +835,7 @@ fn partition_lanes_f64(col: &[f64], threshold: f64, idx: &[u32], scratch: &mut [
     l
 }
 
-/// One node's split data in the shape the kernels want: the tested
-/// column already resolved to a slice, plus the threshold. The
-/// partitioner hoists both out of its row sweep.
-#[derive(Clone, Copy)]
-struct KernelNode<'a> {
-    /// The tested attribute's column (leaves point at column 0, whose
-    /// lookup result never affects the descent).
-    col: &'a [f64],
-    threshold: f64,
-}
-
-/// One folded-model term: coefficient and its resolved column.
-#[derive(Clone, Copy)]
-struct KernelTerm<'a> {
-    col: &'a [f64],
-    coef: f64,
-}
-
-/// Per-call inference kernel: the tree's nodes and folded terms
-/// re-resolved against one dataset's borrowed event columns, so the hot
-/// loops index straight into column slices instead of going
-/// `feature id → column table → column`. Building it is linear in the
-/// tree size — trivial next to any batch — and keeps the serialized
-/// [`CompiledTree`] free of borrowed data.
-struct BatchKernel<'a> {
-    nodes: Vec<KernelNode<'a>>,
-    /// Aligned with the tree's flattened term arrays: leaf `l` owns
-    /// `term_start[l] .. term_start[l + 1]`.
-    terms: Vec<KernelTerm<'a>>,
-}
-
-impl<'a> BatchKernel<'a> {
-    fn new(tree: &CompiledTree, store: &'a ColumnStore) -> BatchKernel<'a> {
-        let events: Vec<&[f64]> = EventId::ALL.iter().map(|&e| store.event(e)).collect();
-        BatchKernel {
-            nodes: (0..tree.n_nodes())
-                .map(|n| KernelNode {
-                    col: events[tree.feature[n] as usize],
-                    threshold: tree.threshold[n],
-                })
-                .collect(),
-            terms: tree
-                .term_feature
-                .iter()
-                .zip(&tree.term_coef)
-                .map(|(&f, &coef)| KernelTerm {
-                    col: events[f as usize],
-                    coef,
-                })
-                .collect(),
-        }
-    }
-}
-
-/// The data-independent half of the SIMD kernel: which columns the tree
+/// The data-independent half of the batch kernel: which columns the tree
 /// actually touches (typically far fewer than `N_EVENTS`), deduplicated,
 /// with every node and folded term resolved to an index into that small
 /// set. The plan depends only on the immutable compiled tree, so it is
@@ -1665,6 +862,9 @@ impl KernelPlan {
             let f = feature as usize;
             if index_of[f] == u32::MAX {
                 index_of[f] = used.len() as u32;
+                // Invariant: `flatten` is the only writer of `feature`
+                // and `term_feature`, and it stores `EventId::index()`.
+                #[allow(clippy::expect_used)]
                 let event = EventId::from_index(f).expect("compiled features are valid events");
                 used.push(event);
             }
@@ -1693,8 +893,8 @@ impl KernelPlan {
 }
 
 /// The cached [`KernelPlan`] slot on a [`CompiledTree`]. Derived data:
-/// clones share the already-built plan (an `Arc` bump), equality ignores
-/// it, and serde skips it entirely.
+/// clones share the already-built plan (an `Arc` bump) and equality
+/// ignores it.
 #[derive(Debug, Default)]
 struct PlanCell(OnceLock<Arc<KernelPlan>>);
 
@@ -1714,7 +914,7 @@ impl PartialEq for PlanCell {
     }
 }
 
-/// The SIMD kernels' per-call view of a tree over one dataset: the
+/// The batch kernel's per-call view of a tree over one dataset: the
 /// cached [`KernelPlan`] plus the dataset's borrowed column slices for
 /// the planned events. Blocks then materialize one window per used
 /// column and the descent indexes `views[slot]` directly. Building it is
@@ -1760,6 +960,13 @@ mod tests {
             ds.push(s, b);
         }
         ds
+    }
+
+    /// The per-row oracle's predictions for every row of `ds`.
+    fn per_row(engine: &CompiledTree, ds: &Dataset) -> Vec<f64> {
+        (0..ds.len())
+            .map(|i| engine.predict(&ds.sample(i)))
+            .collect()
     }
 
     #[test]
@@ -1829,30 +1036,28 @@ mod tests {
 
     #[test]
     fn simd_batch_bit_identical_to_scalar_batch() {
-        // The tentpole determinism contract: the SIMD kernel is not an
-        // approximation — predict, predict_indices, and classify agree
-        // with the scalar oracle kernel bit for bit, across awkward
-        // lengths that exercise lane tails.
+        // The determinism contract: the vectorized batch kernel is not
+        // an approximation — predict, predict_indices, and classify
+        // agree with the scalar per-row oracle bit for bit, across
+        // awkward lengths that exercise lane tails.
         for n in [1usize, 2, 3, 5, 7, 9, 63, 64, 65, 999, 4097] {
             let ds = regime_dataset(n, 40 + n as u64);
             let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-            let scalar = tree.compile().with_simd(false);
-            let simd = tree.compile().with_simd(true);
-            let a = scalar.predict_batch(&ds);
-            let b = simd.predict_batch(&ds);
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            let engine = tree.compile();
+            let oracle = per_row(&engine, &ds);
+            let batch = engine.predict_batch(&ds);
+            for (i, (x, y)) in oracle.iter().zip(&batch).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "n={n} row {i}");
             }
-            assert_eq!(
-                scalar.classify_batch(&ds),
-                simd.classify_batch(&ds),
-                "n={n}"
-            );
+            let classes = engine.classify_batch(&ds);
+            for (i, &lm) in classes.iter().enumerate() {
+                assert_eq!(lm as usize, engine.classify(&ds.sample(i)), "n={n} row {i}");
+            }
             let indices: Vec<u32> = (0..ds.len() as u32).rev().step_by(3).collect();
-            let ai = scalar.predict_indices(&ds, &indices);
-            let bi = simd.predict_indices(&ds, &indices);
-            for (i, (x, y)) in ai.iter().zip(&bi).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "n={n} index row {i}");
+            let selected = engine.predict_indices(&ds, &indices);
+            for (j, (&i, y)) in indices.iter().zip(&selected).enumerate() {
+                let x = oracle[i as usize];
+                assert_eq!(x.to_bits(), y.to_bits(), "n={n} index row {j}");
             }
         }
     }
@@ -1863,70 +1068,14 @@ mod tests {
         // blocks, one-block batches) all partition identically.
         let ds = regime_dataset(1000, 41);
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-        let baseline = tree.compile().with_simd(true).predict_batch(&ds);
+        let oracle = per_row(&tree.compile(), &ds);
         for rows in [1usize, 3, 8, 10, 100, 999, 1000, 1 << 16] {
-            let engine = tree.compile().with_simd(true).with_block_rows(rows);
+            let engine = tree.compile().with_block_rows(rows);
             let got = engine.predict_batch(&ds);
-            for (i, (x, y)) in baseline.iter().zip(&got).enumerate() {
+            for (i, (x, y)) in oracle.iter().zip(&got).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "block_rows={rows} row {i}");
             }
         }
-    }
-
-    #[test]
-    fn f32_fast_path_predicts_within_published_bound() {
-        let ds = regime_dataset(3000, 42);
-        let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-        let exact = tree.compile();
-        let fast = tree.compile().with_precision(Precision::F32Fast);
-        assert_eq!(fast.precision(), Precision::F32Fast);
-        assert_eq!(exact.precision(), Precision::F64);
-        let p64 = exact.predict_batch(&ds);
-        let p32 = fast.predict_batch(&ds);
-        let mut checked = 0usize;
-        for i in 0..ds.len() {
-            let s = ds.sample(i);
-            // The analytic bound covers samples that descend to the
-            // same leaf; threshold-proximal rows may legitimately land
-            // in an adjacent leaf (none do on this dataset's scale).
-            if exact.classify(&s) == fast.classify(&s) {
-                let bound = fast.f32_error_bound(&s).unwrap();
-                let err = (p64[i] - p32[i]).abs();
-                assert!(err <= bound, "row {i}: err {err} > bound {bound}");
-                checked += 1;
-            }
-        }
-        assert!(
-            checked > ds.len() * 9 / 10,
-            "only {checked} rows comparable"
-        );
-        assert!(exact.f32_error_bound(&ds.sample(0)).is_none());
-    }
-
-    #[test]
-    fn f32_batch_matches_f32_scalar_bitwise() {
-        let ds = regime_dataset(777, 43);
-        let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-        let fast = tree.compile().with_precision(Precision::F32Fast);
-        let batch = fast.predict_batch(&ds);
-        let classes = fast.classify_batch(&ds);
-        for i in 0..ds.len() {
-            let s = ds.sample(i);
-            assert_eq!(batch[i].to_bits(), fast.predict(&s).to_bits(), "row {i}");
-            assert_eq!(classes[i] as usize, fast.classify(&s), "row {i}");
-        }
-        let indices: Vec<u32> = (0..ds.len() as u32).step_by(5).collect();
-        let sel = fast.predict_indices(&ds, &indices);
-        for (j, &i) in indices.iter().enumerate() {
-            assert_eq!(sel[j].to_bits(), batch[i as usize].to_bits());
-        }
-        // Round-tripping back to f64 drops the tables again.
-        let back = fast.with_precision(Precision::F64);
-        assert_eq!(back.precision(), Precision::F64);
-        assert_eq!(
-            back.predict_batch(&ds)[0].to_bits(),
-            tree.compile().predict_batch(&ds)[0].to_bits()
-        );
     }
 
     #[test]
@@ -1955,15 +1104,12 @@ mod tests {
         let s = ds.sample(0);
         assert_eq!(engine.predict(&s).to_bits(), tree.predict(&s).to_bits());
         assert_eq!(engine.classify(&s), 1);
-        // The SIMD kernels handle a splitless tree (no used columns)
-        // and a single-row dataset.
-        let simd = tree.compile().with_simd(true);
-        assert_eq!(
-            simd.predict_batch(&ds)[0].to_bits(),
-            engine.with_simd(false).predict_batch(&ds)[0].to_bits()
-        );
-        let fast = tree.compile().with_precision(Precision::F32Fast);
-        assert_eq!(fast.predict_batch(&ds).len(), ds.len());
+        // The batch kernel handles a splitless tree (no used columns).
+        let batch = engine.predict_batch(&ds);
+        for (i, p) in batch.iter().enumerate() {
+            assert_eq!(p.to_bits(), engine.predict(&ds.sample(i)).to_bits());
+        }
+        assert_eq!(engine.classify_batch(&ds), vec![1; ds.len()]);
     }
 
     #[test]
@@ -2003,88 +1149,6 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let ds = regime_dataset(600, 10);
-        let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-        let engine = tree.compile();
-        let json = serde_json::to_string(&engine).unwrap();
-        let back: CompiledTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, engine);
-        // Execution hints and quantized tables are derived data and do
-        // not survive serialization; re-applying with_precision after a
-        // load rebuilds identical tables.
-        let fast = engine.clone().with_precision(Precision::F32Fast);
-        let rebuilt = serde_json::from_str::<CompiledTree>(&serde_json::to_string(&fast).unwrap())
-            .unwrap()
-            .with_precision(Precision::F32Fast);
-        assert_eq!(rebuilt, fast);
-    }
-
-    #[test]
-    fn f32_cut_matches_narrowed_comparison() {
-        let next_up_f64 = |x: f64| f64::from_bits(x.to_bits() + 1);
-        // xorshift64 for reproducible probe values without rand setup.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut thresholds = vec![
-            0.0f32,
-            -0.0,
-            1.0,
-            -1.0,
-            1.5,
-            0.1,
-            2e-4,
-            f32::MAX,
-            -f32::MAX,
-            f32::MIN_POSITIVE,
-            -f32::MIN_POSITIVE,
-            f32::from_bits(1), // smallest subnormal
-        ];
-        for _ in 0..500 {
-            let t = f32::from_bits((next() as u32) & 0x7fff_ffff);
-            if t.is_finite() {
-                thresholds.push(t);
-                thresholds.push(-t);
-            }
-        }
-        for &t in &thresholds {
-            let cut = f32_cut_as_f64(t);
-            // The boundary itself, its immediate f64 neighbors, the
-            // threshold, and random wider probes must all agree:
-            // (x as f32) > t  ⟺  x > cut.
-            let mut probes = vec![
-                cut,
-                next_up_f64(cut),
-                next_down_f64(cut),
-                f64::from(t),
-                f64::NAN,
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-            ];
-            for _ in 0..64 {
-                let x = f64::from_bits(next());
-                if !x.is_nan() {
-                    probes.push(x);
-                }
-            }
-            for x in probes {
-                assert_eq!(
-                    (x as f32) > t,
-                    x > cut,
-                    "t={t:?} ({:#010x}) cut={cut:?} x={x:?} ({:#018x})",
-                    t.to_bits(),
-                    x.to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_dataset_batch() {
         let ds = regime_dataset(50, 11);
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
@@ -2092,16 +1156,13 @@ mod tests {
         assert!(engine.predict_batch(&Dataset::new()).is_empty());
         assert!(engine.predict_indices(&ds, &[]).is_empty());
         assert!(engine.classify_batch(&Dataset::new()).is_empty());
-        let fast = tree.compile().with_precision(Precision::F32Fast);
-        assert!(fast.predict_batch(&Dataset::new()).is_empty());
-        assert!(fast.predict_indices(&ds, &[]).is_empty());
     }
 
     #[test]
     fn plan_caching_is_bit_identical_and_sticky() {
         let ds = regime_dataset(800, 12);
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-        let cached = tree.compile().with_simd(true);
+        let cached = tree.compile();
 
         // Repeated small batches (the serve coalescer's shape) must be
         // bit-identical across repeated calls of the same engine.
@@ -2120,21 +1181,5 @@ mod tests {
         let built = cached.kernel_plan();
         let cloned = cached.clone();
         assert!(Arc::ptr_eq(&built, &cloned.kernel_plan()));
-    }
-
-    #[test]
-    fn plan_survives_serde_round_trip() {
-        let ds = regime_dataset(400, 13);
-        let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-        let engine = tree.compile().with_simd(true);
-        let json = serde_json::to_string(&engine).unwrap();
-        let back: CompiledTree = serde_json::from_str(&json).unwrap();
-        // serde skips the cache cell; the deserialized engine rebuilds
-        // an equivalent plan lazily.
-        let expect = engine.predict_batch(&ds);
-        let got = back.with_simd(true).predict_batch(&ds);
-        for (a, b) in expect.iter().zip(&got) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 }

@@ -199,7 +199,10 @@ pub fn k_fold(data: &Dataset, config: &M5Config, k: usize, seed: u64) -> Result<
                 })
                 .collect();
             for handle in handles {
-                for (fold, outcome) in handle.join().expect("fold worker panicked") {
+                let folds = handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                for (fold, outcome) in folds {
                     outcomes[fold] = Some(outcome);
                 }
             }
@@ -216,6 +219,8 @@ pub fn k_fold(data: &Dataset, config: &M5Config, k: usize, seed: u64) -> Result<
     // Assemble (and propagate the first error) in fold order, keeping
     // the outcome independent of worker scheduling.
     for (fold, outcome) in outcomes.into_iter().enumerate() {
+        // Invariant: the serial loop or one worker ran every fold.
+        #[allow(clippy::expect_used)]
         let outcome = outcome.expect("every fold ran")?;
         result.fold_mae.push(outcome.mae);
         result.fold_rmse.push(outcome.rmse);

@@ -44,6 +44,8 @@
 //! assert!(tree.predict(&probe) > 1.0);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod compiled;
 pub mod config;
 pub mod crossval;
@@ -53,7 +55,7 @@ pub mod simd;
 pub mod split;
 pub mod tree;
 
-pub use compiled::{CompiledTree, Precision};
+pub use compiled::CompiledTree;
 pub use config::M5Config;
 pub use crossval::{k_fold, CrossValidation};
 pub use linreg::LinearModel;

@@ -13,8 +13,10 @@
 //! # Determinism contract
 //!
 //! The lane types are used inside kernels that must stay **bit-exact**
-//! against their scalar oracles, so every operation is an exactly
-//! rounded IEEE-754 scalar operation applied per lane:
+//! against their scalar oracles (the per-row `CompiledTree::predict` /
+//! `classify`, and the trainer's scalar threshold scan), so every
+//! operation is an exactly rounded IEEE-754 scalar operation applied
+//! per lane:
 //!
 //! * [`F64x4::mul_add`] is deliberately **unfused** (`a * b + c`, two
 //!   roundings). A hardware FMA would change results relative to the
@@ -31,259 +33,206 @@
 //!   reproducibility. The engine kernels avoid horizontal reductions
 //!   entirely; only code that has budgeted for reassociation uses it.
 //!
-//! # Runtime knobs
+//! # Cache blocking
 //!
-//! * `SPECREPRO_NO_SIMD=1` disables the vectorized kernels process-wide
-//!   ([`simd_enabled`]); the scalar paths are kept intact as the
-//!   oracles the testkit differential suite compares against, and CI
-//!   runs the whole test suite under both settings.
-//! * `SPECREPRO_BLOCK_ROWS=n` overrides the cache-blocking row count
-//!   ([`block_rows`]); by default a small runtime probe of the L2 size
-//!   picks a block that keeps each kernel's working set cache-resident.
+//! The vectorized kernels always run; there is no switch back to a
+//! scalar batch path. [`block_rows`] picks their cache-block row count
+//! from a small runtime probe of the L2 size, so each kernel's working
+//! set stays cache-resident (`CompiledTree::with_block_rows` fixes it
+//! per engine for tests).
 
 use std::sync::OnceLock;
 
-/// Declares a `[$elem; $n]` lane struct with the per-lane operation
-/// set the kernels use. All methods are straight-line loops over the
-/// fixed array so the auto-vectorizer can lower them to packed ops.
-macro_rules! define_lanes {
-    ($(#[$doc:meta])* $name:ident, $elem:ty, $n:literal) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq)]
-        #[repr(transparent)]
-        pub struct $name(pub [$elem; $n]);
+/// Four `f64` lanes — the engine's partition and folded-leaf FMA width
+/// and the trainer scan's candidate width (two SSE2 registers; one
+/// AVX-256 register). Every method is a straight-line loop over the
+/// fixed array so the auto-vectorizer can lower it to packed ops.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(transparent)]
+pub struct F64x4(pub [f64; 4]);
 
-        // `add`/`sub`/`mul` intentionally mirror the packed-op names
-        // rather than implementing the operator traits: the kernels
-        // want explicit by-value method chains, not operator sugar.
-        #[allow(clippy::should_implement_trait)]
-        impl $name {
-            /// Number of lanes.
-            pub const LANES: usize = $n;
+// `add`/`sub`/`mul` intentionally mirror the packed-op names rather
+// than implementing the operator traits: the kernels want explicit
+// by-value method chains, not operator sugar. The indexed `for k in
+// 0..4` loops are the straight-line shape the auto-vectorizer lowers
+// to packed ops, so they stay indexed rather than iterator chains.
+#[allow(clippy::should_implement_trait, clippy::needless_range_loop)]
+impl F64x4 {
+    /// Number of lanes.
+    pub const LANES: usize = 4;
 
-            /// All lanes set to `v`.
-            #[inline(always)]
-            pub fn splat(v: $elem) -> Self {
-                $name([v; $n])
-            }
+    /// All lanes set to `v`.
+    #[inline(always)]
+    pub fn splat(v: f64) -> Self {
+        F64x4([v; 4])
+    }
 
-            /// Loads the first `LANES` elements of `src`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `src` is shorter than `LANES`.
-            #[inline(always)]
-            pub fn from_slice(src: &[$elem]) -> Self {
-                let mut out = [<$elem>::default(); $n];
-                out.copy_from_slice(&src[..$n]);
-                $name(out)
-            }
+    /// Loads the first `LANES` elements of `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is shorter than `LANES`.
+    #[inline(always)]
+    pub fn from_slice(src: &[f64]) -> Self {
+        let mut out = [0.0; 4];
+        out.copy_from_slice(&src[..4]);
+        F64x4(out)
+    }
 
-            /// Stores the lanes into the first `LANES` elements of
-            /// `dst`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `dst` is shorter than `LANES`.
-            #[inline(always)]
-            pub fn write_to(self, dst: &mut [$elem]) {
-                dst[..$n].copy_from_slice(&self.0);
-            }
+    /// Stores the lanes into the first `LANES` elements of
+    /// `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is shorter than `LANES`.
+    #[inline(always)]
+    pub fn write_to(self, dst: &mut [f64]) {
+        dst[..4].copy_from_slice(&self.0);
+    }
 
-            /// Gathers `src[idx[k]]` into lane `k`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if any index is out of bounds for `src`.
-            #[inline(always)]
-            pub fn gather(src: &[$elem], idx: &[u32; $n]) -> Self {
-                let mut out = [<$elem>::default(); $n];
-                for k in 0..$n {
-                    out[k] = src[idx[k] as usize];
-                }
-                $name(out)
-            }
-
-            /// Lane-wise addition.
-            #[inline(always)]
-            pub fn add(self, rhs: Self) -> Self {
-                let mut out = self.0;
-                for k in 0..$n {
-                    out[k] += rhs.0[k];
-                }
-                $name(out)
-            }
-
-            /// Lane-wise subtraction.
-            #[inline(always)]
-            pub fn sub(self, rhs: Self) -> Self {
-                let mut out = self.0;
-                for k in 0..$n {
-                    out[k] -= rhs.0[k];
-                }
-                $name(out)
-            }
-
-            /// Lane-wise multiplication.
-            #[inline(always)]
-            pub fn mul(self, rhs: Self) -> Self {
-                let mut out = self.0;
-                for k in 0..$n {
-                    out[k] *= rhs.0[k];
-                }
-                $name(out)
-            }
-
-            /// `self * m + a`, **unfused**: the product rounds before
-            /// the addition, exactly like the scalar `c * x + acc`
-            /// chains in the oracle kernels (see the module docs for
-            /// why fusing is deliberately avoided).
-            #[inline(always)]
-            pub fn mul_add(self, m: Self, a: Self) -> Self {
-                let mut out = [<$elem>::default(); $n];
-                for k in 0..$n {
-                    out[k] = self.0[k] * m.0[k] + a.0[k];
-                }
-                $name(out)
-            }
-
-            /// Lane-wise `max` with the scalar `max` NaN semantics
-            /// (`NaN.max(x) == x`).
-            #[inline(always)]
-            pub fn max(self, rhs: Self) -> Self {
-                let mut out = [<$elem>::default(); $n];
-                for k in 0..$n {
-                    out[k] = self.0[k].max(rhs.0[k]);
-                }
-                $name(out)
-            }
-
-            /// Lane-wise square root (exactly rounded per IEEE-754,
-            /// bit-identical to the scalar `sqrt`).
-            #[inline(always)]
-            pub fn sqrt(self) -> Self {
-                let mut out = [<$elem>::default(); $n];
-                for k in 0..$n {
-                    out[k] = self.0[k].sqrt();
-                }
-                $name(out)
-            }
-
-            /// Lane-width comparison mask: `self > rhs` per lane.
-            #[inline(always)]
-            pub fn gt(self, rhs: Self) -> [bool; $n] {
-                let mut out = [false; $n];
-                for k in 0..$n {
-                    out[k] = self.0[k] > rhs.0[k];
-                }
-                out
-            }
-
-            /// Lane-width comparison mask: `self < rhs` per lane.
-            #[inline(always)]
-            pub fn lt(self, rhs: Self) -> [bool; $n] {
-                let mut out = [false; $n];
-                for k in 0..$n {
-                    out[k] = self.0[k] < rhs.0[k];
-                }
-                out
-            }
-
-            /// Lane-width comparison mask: `self != rhs` per lane
-            /// (IEEE inequality, so a NaN lane is always unequal).
-            #[inline(always)]
-            pub fn ne(self, rhs: Self) -> [bool; $n] {
-                let mut out = [false; $n];
-                for k in 0..$n {
-                    out[k] = self.0[k] != rhs.0[k];
-                }
-                out
-            }
-
-            /// Lane-wise select: `if mask[k] { a } else { b }`.
-            #[inline(always)]
-            pub fn select(mask: [bool; $n], a: Self, b: Self) -> Self {
-                let mut out = [<$elem>::default(); $n];
-                for k in 0..$n {
-                    out[k] = if mask[k] { a.0[k] } else { b.0[k] };
-                }
-                $name(out)
-            }
-
-            /// Horizontal sum in **ascending lane order** — a fixed,
-            /// documented association (`((l0 + l1) + l2) + …`).
-            #[inline(always)]
-            pub fn reduce_add(self) -> $elem {
-                let mut acc = self.0[0];
-                for k in 1..$n {
-                    acc += self.0[k];
-                }
-                acc
-            }
-        }
-    };
-}
-
-define_lanes!(
-    /// Four `f64` lanes — the engine's partition and folded-leaf FMA
-    /// width (two SSE2 registers; one AVX-256 register).
-    F64x4,
-    f64,
-    4
-);
-define_lanes!(
-    /// Eight `f64` lanes — for AVX-512-class targets and wide
-    /// accumulator splits.
-    F64x8,
-    f64,
-    8
-);
-define_lanes!(
-    /// Eight `f32` lanes — the quantized fast path's width (two SSE2
-    /// registers; one AVX-256 register).
-    F32x8,
-    f32,
-    8
-);
-
-impl F32x8 {
-    /// Gathers `src[idx[k]] as f32` into lane `k`: the quantized
-    /// kernel's narrowing load. Converting in-register per gathered
-    /// element keeps the f64 columns as the single source of truth —
-    /// no f32 copy of the data is ever materialized — and the rounding
-    /// is the same `f64 → f32` cast the scalar quantized path applies
-    /// to each looked-up density.
+    /// Gathers `src[idx[k]]` into lane `k`.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds for `src`.
     #[inline(always)]
-    pub fn gather_narrow(src: &[f64], idx: &[u32; 8]) -> Self {
-        let mut out = [0.0f32; 8];
-        for k in 0..8 {
-            out[k] = src[idx[k] as usize] as f32;
+    pub fn gather(src: &[f64], idx: &[u32; 4]) -> Self {
+        let mut out = [0.0; 4];
+        for k in 0..4 {
+            out[k] = src[idx[k] as usize];
         }
-        F32x8(out)
+        F64x4(out)
+    }
+
+    /// Lane-wise addition.
+    #[inline(always)]
+    pub fn add(self, rhs: Self) -> Self {
+        let mut out = self.0;
+        for k in 0..4 {
+            out[k] += rhs.0[k];
+        }
+        F64x4(out)
+    }
+
+    /// Lane-wise subtraction.
+    #[inline(always)]
+    pub fn sub(self, rhs: Self) -> Self {
+        let mut out = self.0;
+        for k in 0..4 {
+            out[k] -= rhs.0[k];
+        }
+        F64x4(out)
+    }
+
+    /// Lane-wise multiplication.
+    #[inline(always)]
+    pub fn mul(self, rhs: Self) -> Self {
+        let mut out = self.0;
+        for k in 0..4 {
+            out[k] *= rhs.0[k];
+        }
+        F64x4(out)
+    }
+
+    /// `self * m + a`, **unfused**: the product rounds before the
+    /// addition, exactly like the scalar `acc += c * x` chains of the
+    /// per-row oracles (see the module docs for why fusing is
+    /// deliberately avoided).
+    #[inline(always)]
+    pub fn mul_add(self, m: Self, a: Self) -> Self {
+        let mut out = [0.0; 4];
+        for k in 0..4 {
+            out[k] = self.0[k] * m.0[k] + a.0[k];
+        }
+        F64x4(out)
+    }
+
+    /// Lane-wise `max` with the scalar `max` NaN semantics
+    /// (`NaN.max(x) == x`).
+    #[inline(always)]
+    pub fn max(self, rhs: Self) -> Self {
+        let mut out = [0.0; 4];
+        for k in 0..4 {
+            out[k] = self.0[k].max(rhs.0[k]);
+        }
+        F64x4(out)
+    }
+
+    /// Lane-wise square root (exactly rounded per IEEE-754,
+    /// bit-identical to the scalar `sqrt`).
+    #[inline(always)]
+    pub fn sqrt(self) -> Self {
+        let mut out = [0.0; 4];
+        for k in 0..4 {
+            out[k] = self.0[k].sqrt();
+        }
+        F64x4(out)
+    }
+
+    /// Lane-width comparison mask: `self > rhs` per lane.
+    #[inline(always)]
+    pub fn gt(self, rhs: Self) -> [bool; 4] {
+        let mut out = [false; 4];
+        for k in 0..4 {
+            out[k] = self.0[k] > rhs.0[k];
+        }
+        out
+    }
+
+    /// Lane-width comparison mask: `self < rhs` per lane.
+    #[inline(always)]
+    pub fn lt(self, rhs: Self) -> [bool; 4] {
+        let mut out = [false; 4];
+        for k in 0..4 {
+            out[k] = self.0[k] < rhs.0[k];
+        }
+        out
+    }
+
+    /// Lane-width comparison mask: `self != rhs` per lane
+    /// (IEEE inequality, so a NaN lane is always unequal).
+    #[inline(always)]
+    pub fn ne(self, rhs: Self) -> [bool; 4] {
+        let mut out = [false; 4];
+        for k in 0..4 {
+            out[k] = self.0[k] != rhs.0[k];
+        }
+        out
+    }
+
+    /// Lane-wise select: `if mask[k] { a } else { b }`.
+    #[inline(always)]
+    pub fn select(mask: [bool; 4], a: Self, b: Self) -> Self {
+        let mut out = [0.0; 4];
+        for k in 0..4 {
+            out[k] = if mask[k] { a.0[k] } else { b.0[k] };
+        }
+        F64x4(out)
+    }
+
+    /// Horizontal sum in **ascending lane order** — a fixed,
+    /// documented association (`((l0 + l1) + l2) + …`).
+    #[inline(always)]
+    pub fn reduce_add(self) -> f64 {
+        let mut acc = self.0[0];
+        for k in 1..4 {
+            acc += self.0[k];
+        }
+        acc
     }
 }
 
-/// True unless `SPECREPRO_NO_SIMD=1` disables the vectorized kernels
-/// for this process (read once; the scalar oracle paths are used
-/// instead). Engines and the trainer consult this as the *default*;
-/// per-object overrides ([`crate::CompiledTree::with_simd`], the
-/// `find_best_split_with` entry point) take precedence so tests can
-/// A/B both paths in one process.
+/// Whether the engine and trainer run their vectorized kernels. Always
+/// `true`: the lane kernels are the only batch paths, and there is no
+/// process-wide switch. Kept so run reports can record the fact.
 pub fn simd_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| !std::env::var("SPECREPRO_NO_SIMD").is_ok_and(|v| v == "1"))
+    true
 }
 
 /// Default cache-blocking row count for a kernel whose per-row working
 /// set is `bytes_per_row` bytes.
 ///
-/// The `SPECREPRO_BLOCK_ROWS` environment variable, when set to a
-/// positive integer, overrides the choice directly (clamped to
-/// `[64, 1048576]`). Otherwise a small runtime probe of the L2 cache
+/// A small runtime probe of the L2 cache
 /// size (`/sys/devices/system/cpu/cpu0/cache`, falling back to 1 MiB
 /// when unreadable, e.g. on non-Linux hosts) sizes the block so the
 /// working set fills at most a quarter of L2 — large enough to
@@ -294,24 +243,9 @@ pub fn simd_enabled() -> bool {
 /// `DESIGN.md` §10). The result is always a multiple of 8 so full
 /// lanes dominate and the scalar tail stays bounded.
 pub fn block_rows(bytes_per_row: usize) -> usize {
-    if let Some(rows) = block_rows_override() {
-        return rows;
-    }
     let budget = l2_cache_bytes() / 4;
     let rows = budget / bytes_per_row.max(1);
     rows.clamp(512, 8192) & !7
-}
-
-/// The `SPECREPRO_BLOCK_ROWS` override, if set to a positive integer
-/// (read once per process, clamped to `[64, 1048576]` and rounded down
-/// to a multiple of 8).
-pub fn block_rows_override() -> Option<usize> {
-    static OVERRIDE: OnceLock<Option<usize>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let raw = std::env::var("SPECREPRO_BLOCK_ROWS").ok()?;
-        let rows: usize = raw.parse().ok().filter(|&r| r > 0)?;
-        Some(rows.clamp(64, 1 << 20) & !7)
-    })
 }
 
 /// L2 cache size in bytes, probed once from sysfs (Linux) with a 1 MiB
@@ -363,8 +297,6 @@ mod tests {
         let src = [10.0, 11.0, 12.0, 13.0, 14.0];
         let v = F64x4::gather(&src, &[4, 0, 2, 2]);
         assert_eq!(v.0, [14.0, 10.0, 12.0, 12.0]);
-        let w = F32x8::gather(&[1.0f32, 2.0, 3.0], &[2, 1, 0, 1, 2, 0, 0, 2]);
-        assert_eq!(w.0, [3.0, 2.0, 1.0, 2.0, 3.0, 1.0, 1.0, 3.0]);
     }
 
     #[test]
@@ -421,9 +353,6 @@ mod tests {
         let v = F64x4([1e16, 1.0, -1e16, 1.0]);
         let expected: f64 = ((1e16 + 1.0) + -1e16) + 1.0;
         assert_eq!(v.reduce_add().to_bits(), expected.to_bits());
-        let w = F32x8([1.0; 8]);
-        assert_eq!(w.reduce_add(), 8.0);
-        assert_eq!(F64x8([2.0; 8]).reduce_add(), 16.0);
     }
 
     #[test]
@@ -440,7 +369,7 @@ mod tests {
     fn block_rows_is_clamped_and_lane_aligned() {
         for bytes in [1usize, 8, 100, 1000, 1 << 20] {
             let rows = block_rows(bytes);
-            assert!((64..=1 << 20).contains(&rows), "{rows} rows at {bytes} B");
+            assert!((512..=8192).contains(&rows), "{rows} rows at {bytes} B");
             assert_eq!(rows % 8, 0, "{rows} not a multiple of 8");
         }
         // Heavier rows never get bigger blocks.
@@ -450,7 +379,6 @@ mod tests {
     #[test]
     fn lane_counts() {
         assert_eq!(F64x4::LANES, 4);
-        assert_eq!(F64x8::LANES, 8);
-        assert_eq!(F32x8::LANES, 8);
+        assert!(simd_enabled());
     }
 }

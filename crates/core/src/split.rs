@@ -44,7 +44,7 @@
 //! replaces, so one thread and many threads produce bit-identical
 //! splits.
 
-use crate::simd::{self, F64x4};
+use crate::simd::F64x4;
 use perfcounters::events::{EventId, N_EVENTS};
 use perfcounters::Dataset;
 
@@ -669,9 +669,11 @@ fn scan_attribute_simd(
 /// Finds the SDR-maximizing split over all attributes of a presorted
 /// node, subject to both sides receiving at least `min_leaf` samples.
 ///
-/// With `n_threads > 1` the attribute scans run on scoped worker
-/// threads; the result is bit-identical to the serial scan (see the
-/// module docs).
+/// Every attribute runs the vectorized `scan_attribute_simd`, which
+/// is bit-identical to the scalar `scan_attribute` (its narrow-window
+/// fallback). With `n_threads > 1` the attribute scans run on scoped
+/// worker threads; the result is bit-identical to the serial scan (see
+/// the module docs).
 ///
 /// Returns `None` when no admissible split improves on the parent (all
 /// attribute columns constant, node too small, or best SDR is
@@ -683,28 +685,6 @@ pub fn find_best_split(
     stats: &TargetStats,
     n_threads: usize,
 ) -> Option<Split> {
-    find_best_split_with(cols, set, min_leaf, stats, n_threads, simd::simd_enabled())
-}
-
-/// [`find_best_split`] with the threshold-scan kernel chosen
-/// explicitly: `use_simd` selects the vectorized `scan_attribute_simd`
-/// or the scalar `scan_attribute` oracle. Both produce bit-identical
-/// splits — this entry point exists so tests and benchmarks can A/B the
-/// two in one process regardless of `SPECREPRO_NO_SIMD`.
-pub fn find_best_split_with(
-    cols: &Columns<'_>,
-    set: &NodeSet<'_>,
-    min_leaf: usize,
-    stats: &TargetStats,
-    n_threads: usize,
-    use_simd: bool,
-) -> Option<Split> {
-    type ScanFn = fn(&[f64], &[f64], &[u32], EventId, usize, &TargetStats, f64) -> Option<Split>;
-    let scan: ScanFn = if use_simd {
-        scan_attribute_simd
-    } else {
-        scan_attribute
-    };
     let n = set.len();
     if n < 2 * min_leaf {
         return None;
@@ -723,7 +703,7 @@ pub fn find_best_split_with(
     let workers = n_threads.min(N_EVENTS);
     if workers <= 1 {
         for (slot, event) in per_event.iter_mut().zip(EventId::ALL) {
-            *slot = scan(
+            *slot = scan_attribute_simd(
                 cols.event(event),
                 cols.cpi,
                 set.sorted(event),
@@ -749,7 +729,7 @@ pub fn find_best_split_with(
                             .map(|event| {
                                 (
                                     event.index(),
-                                    scan(
+                                    scan_attribute_simd(
                                         cols.event(event),
                                         cols.cpi,
                                         segments[event.index()],
@@ -765,7 +745,10 @@ pub fn find_best_split_with(
                 })
                 .collect();
             for handle in handles {
-                for (index, result) in handle.join().expect("attribute scan panicked") {
+                let results = handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                for (index, result) in results {
                     per_event[index] = result;
                 }
             }
@@ -926,6 +909,59 @@ mod tests {
         }
     }
 
+    /// Bitwise equality of two scan results.
+    fn assert_same_split(a: Option<Split>, b: Option<Split>, what: &str) {
+        match (a, b) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.event, b.event, "{what}");
+                assert_eq!(
+                    a.threshold.to_bits(),
+                    b.threshold.to_bits(),
+                    "{what}: {} vs {}",
+                    a.threshold,
+                    b.threshold
+                );
+                assert_eq!(
+                    a.sdr.to_bits(),
+                    b.sdr.to_bits(),
+                    "{what}: {} vs {}",
+                    a.sdr,
+                    b.sdr
+                );
+            }
+            (a, b) => panic!("{what}: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// The scalar oracle of [`find_best_split`]: checks the two private
+    /// scans against each other attribute by attribute, then reduces
+    /// the scalar winners in `EventId::ALL` order.
+    fn scalar_best_split(
+        cols: &Columns<'_>,
+        set: &NodeSet<'_>,
+        min_leaf: usize,
+        stats: &TargetStats,
+    ) -> Option<Split> {
+        let total_sd = stats.sd();
+        if set.len() < 2 * min_leaf || total_sd <= 0.0 {
+            return None;
+        }
+        let mut best: Option<Split> = None;
+        for event in EventId::ALL {
+            let (col, seg) = (cols.event(event), set.sorted(event));
+            let scalar = scan_attribute(col, cols.cpi, seg, event, min_leaf, stats, total_sd);
+            let simd = scan_attribute_simd(col, cols.cpi, seg, event, min_leaf, stats, total_sd);
+            assert_same_split(scalar, simd, &format!("{event:?} min_leaf={min_leaf}"));
+            if let Some(c) = scalar {
+                if best.is_none_or(|b| c.sdr > b.sdr) {
+                    best = Some(c);
+                }
+            }
+        }
+        best
+    }
+
     #[test]
     fn simd_scan_is_bit_identical_to_scalar() {
         use rand::rngs::StdRng;
@@ -961,31 +997,14 @@ mod tests {
             let set = arena.node_set();
             let stats = TargetStats::compute(cols.cpi, &set.indices);
             for min_leaf in [1usize, 2, 4, 9] {
+                let scalar = scalar_best_split(&cols, &set, min_leaf, &stats);
                 for threads in [1usize, 4] {
-                    let scalar =
-                        find_best_split_with(&cols, &set, min_leaf, &stats, threads, false);
-                    let simd = find_best_split_with(&cols, &set, min_leaf, &stats, threads, true);
-                    match (scalar, simd) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.event, b.event, "n={n} min_leaf={min_leaf}");
-                            assert_eq!(
-                                a.threshold.to_bits(),
-                                b.threshold.to_bits(),
-                                "n={n} min_leaf={min_leaf}: {} vs {}",
-                                a.threshold,
-                                b.threshold
-                            );
-                            assert_eq!(
-                                a.sdr.to_bits(),
-                                b.sdr.to_bits(),
-                                "n={n} min_leaf={min_leaf}: {} vs {}",
-                                a.sdr,
-                                b.sdr
-                            );
-                        }
-                        (a, b) => panic!("n={n} min_leaf={min_leaf}: {a:?} vs {b:?}"),
-                    }
+                    let simd = find_best_split(&cols, &set, min_leaf, &stats, threads);
+                    assert_same_split(
+                        scalar,
+                        simd,
+                        &format!("n={n} min_leaf={min_leaf} threads={threads}"),
+                    );
                 }
             }
         }
@@ -1000,9 +1019,9 @@ mod tests {
         let mut arena = SortArena::new(&cols, &idx[..6]);
         let set = arena.node_set();
         let stats = TargetStats::compute(cols.cpi, &set.indices);
-        let scalar = find_best_split_with(&cols, &set, 2, &stats, 1, false);
-        let simd = find_best_split_with(&cols, &set, 2, &stats, 1, true);
-        assert_eq!(scalar, simd);
+        let scalar = scalar_best_split(&cols, &set, 2, &stats);
+        let simd = find_best_split(&cols, &set, 2, &stats, 1);
+        assert_same_split(scalar, simd, "six-row node");
     }
 
     #[test]

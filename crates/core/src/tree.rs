@@ -556,7 +556,8 @@ impl ModelTree {
                 }
             }
         }
-        let leaf = *path.last().expect("path contains at least the root");
+        // The loop breaks on a leaf, which is the path's last node.
+        let leaf = id;
         let mut p = self.node(leaf).model.predict(sample);
         if !self.config.smoothing || path.len() == 1 {
             return p;
@@ -765,7 +766,10 @@ fn grow(
                         mask,
                         scratch,
                     );
-                    (handle.join().expect("grow worker panicked"), right)
+                    let left = handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    (left, right)
                 })
             } else {
                 let left = grow(
@@ -840,7 +844,10 @@ fn prune(cols: &Columns<'_>, node: GrownNode, config: &M5Config, budget: usize) 
                 std::thread::scope(|scope| {
                     let handle = scope.spawn(move || prune(cols, *left, config, left_budget));
                     let right = prune(cols, *right, config, right_budget.max(1));
-                    (handle.join().expect("prune worker panicked"), right)
+                    let left = handle
+                        .join()
+                        .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                    (left, right)
                 })
             } else {
                 (

@@ -8,10 +8,10 @@
 //!   [`ModelTree::predict`] within `1e-10` on every sample (bit-exactly
 //!   with smoothing off),
 //! * compiled classification matches [`ModelTree::classify`] exactly,
-//! * [`CompiledTree::predict_batch`] is **bit-identical** for every
+//! * [`modeltree::CompiledTree::predict_batch`] is **bit-identical** for every
 //!   thread budget.
 
-use modeltree::{CompiledTree, M5Config, ModelTree};
+use modeltree::{M5Config, ModelTree};
 use perfcounters::{Dataset, EventId, Sample};
 use proptest::prelude::*;
 
@@ -145,35 +145,5 @@ proptest! {
                 prop_assert_eq!(subset[j].to_bits(), full[i as usize].to_bits());
             }
         }
-    }
-}
-
-#[test]
-fn serde_roundtrip_preserves_engine() {
-    let ds = dataset_from_rows(&[
-        (1e-4, 0.1, 1e-4, 0.6),
-        (3e-4, 0.3, 5e-4, 1.4),
-        (2e-4, 0.2, 2e-4, 0.9),
-        (4e-4, 0.4, 9e-4, 2.1),
-    ]);
-    let big: Vec<(f64, f64, f64, f64)> = (0..200)
-        .map(|i| {
-            let x = i as f64 / 200.0;
-            (1e-3 * x, 0.5 * x, 2e-3 * (1.0 - x), 0.5 + 2.0 * x)
-        })
-        .collect();
-    let ds = if ds.len() < 50 {
-        dataset_from_rows(&big)
-    } else {
-        ds
-    };
-    let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-    let engine = tree.compile();
-    let json = serde_json::to_string(&engine).unwrap();
-    let back: CompiledTree = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, engine);
-    for i in 0..ds.len() {
-        let s = ds.sample(i);
-        assert_eq!(back.predict(&s).to_bits(), engine.predict(&s).to_bits());
     }
 }

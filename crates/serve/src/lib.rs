@@ -12,7 +12,7 @@
 //! # Architecture
 //!
 //! ```text
-//! clients ──► acceptor ──► per-connection handlers ──► coalescer ──► BatchKernel
+//! clients ──► acceptor ──► per-connection handlers ──► coalescer ──► CompiledTree
 //!                │                │   (parse, validate)    │  (one columnar batch
 //!                │                │                        │   per window/size)
 //!                │                ◄── tickets (oneshot) ───┘
