@@ -2,11 +2,11 @@
 //!
 //! The batch pipeline ([`pipeline`]) materializes a whole dataset, fits
 //! once, and caches the artifact. This crate is the continuous version
-//! of that story: thousands of simulated hosts emit interval records
-//! over bounded channels into a sharded aggregator that seals columnar
-//! chunks into a `SPDC` container ([`pipeline::chunked`]), and a
-//! sliding-window refit tracks workload drift against that container
-//! without ever holding the full table in memory.
+//! of that story: thousands of simulated hosts emit interval records,
+//! in batches over bounded channels, into a sharded aggregator that
+//! seals columnar chunks into a `SPDC` container ([`pipeline::chunked`]),
+//! and a sliding-window refit tracks workload drift against that
+//! container without ever holding the full table in memory.
 //!
 //! # Determinism contract
 //!
@@ -42,6 +42,7 @@
 //! gauge, refit latency).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod aggregator;
 pub mod fault;
@@ -55,6 +56,10 @@ pub use source::{FleetConfig, StreamPlan};
 
 /// Full configuration of one streaming run: the fleet, the logical
 /// layout, the execution hints, and the fault schedule.
+///
+/// The transport is not configurable: each producer hands envelopes to
+/// an aggregator worker in fixed-size batches, over a channel bounded
+/// by a fixed number of batches. Neither size reaches the output.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// The simulated fleet (suite, host count, intervals, seed).
@@ -66,10 +71,10 @@ pub struct StreamConfig {
     /// Worker threads for producers and aggregators. Execution hint:
     /// never affects output bytes.
     pub n_threads: usize,
-    /// Rows per sealed chunk (the in-memory budget per shard).
+    /// Rows per sealed chunk: the building chunk each shard holds
+    /// before it spills. Rows still waiting for the shard's cursor sit
+    /// in reorder buffers outside this budget (see [`aggregator`]).
     pub chunk_rows: usize,
-    /// Bound of each worker's ingest channel, in envelopes.
-    pub channel_capacity: usize,
     /// Deterministic fault schedule ([`FaultConfig::none`] to disable).
     pub faults: FaultConfig,
 }
@@ -82,7 +87,6 @@ impl StreamConfig {
             n_shards: 4,
             n_threads: 1,
             chunk_rows: 1024,
-            channel_capacity: 256,
             faults: FaultConfig::none(),
         }
     }

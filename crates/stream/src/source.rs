@@ -269,6 +269,9 @@ impl StreamPlan {
                 labels.push(self.host_label(h));
             }
         }
+        // Invariant: `new` draws every host label from the allocation
+        // over `benchmarks`, so each label indexes the name table.
+        #[allow(clippy::expect_used)]
         Dataset::from_parts(samples, labels, self.benchmarks.clone())
             .expect("plan labels index the plan's own name table")
     }

@@ -25,12 +25,14 @@ static TELEMETRY: Mutex<()> = Mutex::new(());
 struct Guard;
 
 impl Guard {
-    fn acquire() -> (std::sync::MutexGuard<'static, ()>, Guard) {
+    /// The lock comes second so that it drops last: `Guard`'s reset
+    /// must finish before the next test can take the lock.
+    fn acquire() -> (Guard, std::sync::MutexGuard<'static, ()>) {
         let lock = TELEMETRY.lock().unwrap_or_else(|e| e.into_inner());
         obskit::set_enabled(false, false);
         obskit::metrics::reset();
         obskit::span::reset();
-        (lock, Guard)
+        (Guard, lock)
     }
 }
 

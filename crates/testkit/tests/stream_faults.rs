@@ -4,8 +4,10 @@
 //! With the fault injector armed — seeded drops, duplicates, reorders,
 //! mid-stream host deaths, torn chunk writes — the same fault seed
 //! must produce **byte-identical** sealed containers and refit
-//! artifacts on 1 and 8 aggregator threads, and exactly-once chunk
-//! semantics must hold (no duplicated or lost surviving rows). The
+//! artifacts on 1 and 8 aggregator threads, small fleets that end
+//! mid-batch must seal the same bytes and counts on 1, 2, 3 and 8
+//! threads, and exactly-once chunk semantics must hold (no duplicated
+//! or lost surviving rows). The
 //! seed comes from `SPECREPRO_STREAM_FAULT_SEED` when set (the CI
 //! matrix pins one), so the suite doubles as a replayable fuzz target:
 //! any seed that fails is a one-line reproduction.
@@ -16,7 +18,9 @@ use std::path::{Path, PathBuf};
 
 use modeltree::M5Config;
 use pipeline::{ArtifactStore, ChunkedReader};
-use stream::{windowed_refit, FaultConfig, FleetConfig, RefitConfig, StreamConfig, StreamPlan};
+use stream::{
+    windowed_refit, FaultConfig, FleetConfig, RefitConfig, StreamConfig, StreamPlan, StreamSummary,
+};
 
 fn fault_seed() -> u64 {
     std::env::var("SPECREPRO_STREAM_FAULT_SEED")
@@ -200,5 +204,61 @@ fn different_fault_seeds_still_seal_verifiable_containers() {
             reader.read_chunk(i).unwrap();
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn batch_boundaries_never_reach_the_container() {
+    // Producers hand envelopes to each worker in batches of 128 and
+    // flush a partial batch on exit. These fleets give per-worker
+    // envelope counts that are not a multiple of the batch — down to
+    // one host with fewer envelopes than one batch — and every thread
+    // count cuts them differently.
+    let dir = scratch("batches");
+    let seed = fault_seed();
+    // (hosts, intervals per host, shards, chunk rows)
+    let shapes = [
+        (1u64, 5u32, 1usize, 4usize),
+        (1, 200, 2, 64),
+        (7, 19, 3, 10),
+        (45, 13, 4, 32),
+        (130, 3, 8, 50),
+    ];
+    let mut faults = 0;
+    for (hosts, intervals, shards, chunk_rows) in shapes {
+        let cfg = StreamConfig::new(FleetConfig::cpu2006(hosts, intervals, 11))
+            .with_shards(shards)
+            .with_chunk_rows(chunk_rows)
+            .with_faults(FaultConfig::standard(seed));
+        let plan = StreamPlan::new(&cfg);
+        let mut runs: Vec<(usize, StreamSummary, Vec<u8>)> = Vec::new();
+        for threads in [1usize, 2, 3, 8] {
+            let path = dir.join(format!("h{hosts}-i{intervals}-t{threads}.spdc"));
+            let summary = stream::run_stream(&cfg.clone().with_threads(threads), &path).unwrap();
+            assert_eq!(
+                summary.rows,
+                plan.total_rows(),
+                "seed {seed}, {hosts} hosts"
+            );
+            let summary = StreamSummary {
+                container: PathBuf::new(),
+                ..summary
+            };
+            runs.push((threads, summary, std::fs::read(&path).unwrap()));
+        }
+        let (_, base_summary, base_bytes) = &runs[0];
+        faults += base_summary.faults_injected;
+        for (threads, summary, bytes) in &runs[1..] {
+            assert_eq!(
+                summary, base_summary,
+                "seed {seed}, {hosts} hosts x {intervals}: summary differs on {threads} threads"
+            );
+            assert!(
+                bytes == base_bytes,
+                "seed {seed}, {hosts} hosts x {intervals}: container differs on {threads} threads"
+            );
+        }
+    }
+    assert!(faults > 0, "seed {seed}: fault schedule injected nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
