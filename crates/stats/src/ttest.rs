@@ -431,10 +431,19 @@ mod tests {
     #[test]
     fn cohens_d_large_sample_insensitivity() {
         // Unlike t, d does not blow up with n: a fixed 0.1-sd shift gives
-        // d ~ 0.1 at any size.
+        // d ~ 0.1 at any size. Both samples are the n standard-normal
+        // quantiles at plotting positions (i + 0.5) / n rather than
+        // random draws: at n = 100 a random sample's d has sd ~0.14, so
+        // a seeded draw would test the seed, not the property.
+        let quantiles = |n: usize, mean: f64| -> Vec<f64> {
+            let z = mathkit::dist::Normal::standard();
+            (0..n)
+                .map(|i| mean + z.quantile((i as f64 + 0.5) / n as f64).unwrap())
+                .collect()
+        };
         for n in [100usize, 10_000] {
-            let a = normal_sample(n, 0.0, 1.0, 20);
-            let b = normal_sample(n, 0.1, 1.0, 21);
+            let a = quantiles(n, 0.0);
+            let b = quantiles(n, 0.1);
             let d = cohens_d(&b, &a).unwrap();
             assert!((d - 0.1).abs() < 0.06, "n={n}: d = {d}");
         }
