@@ -32,7 +32,7 @@
 use characterize::{greedy_subset, kmeans_subset, ProfileTable, SimilarityMatrix};
 use modeltree::{display, k_fold, M5Config, ModelTree};
 use perfcounters::{Dataset, Sample};
-use pipeline::{ArtifactStore, DatasetSpec, PipelineContext, RngStreams, SuiteKind};
+use pipeline::{ArtifactStore, DatasetSpec, PipelineContext, SuiteKind};
 use serde::{Deserialize, Serialize};
 use spec_stats::PredictionMetrics;
 use std::collections::HashMap;
@@ -255,11 +255,10 @@ fn cmd_suite(args: &[String]) -> Result<String> {
 /// `generate`: synthesize a suite dataset to a file.
 ///
 /// The dataset resolves through the artifact store: a repeated
-/// invocation with the same suite, sample count, seed, and stream
-/// layout loads the cached bytes instead of regenerating. `--threads 1`
-/// keeps the byte-stable sequential stream; higher counts switch to the
-/// per-benchmark stream layout (a different, thread-count-invariant
-/// dataset), so the two cache under different keys.
+/// invocation with the same suite, sample count and seed loads the
+/// cached bytes instead of regenerating. `--threads` only spreads the
+/// benchmark blocks over workers: the file is byte-identical for every
+/// thread count.
 ///
 /// # Errors
 ///
@@ -270,10 +269,7 @@ pub fn cmd_generate(flags: &Flags) -> Result<String> {
     let seed: u64 = flags.parsed_or("seed", 1)?;
     let threads = parse_threads(flags)?;
     let out = flags.required("out")?;
-    let mut spec = DatasetSpec::new(kind, samples, seed);
-    if threads > 1 {
-        spec = spec.with_streams(RngStreams::PerBenchmark);
-    }
+    let spec = DatasetSpec::new(kind, samples, seed);
     let ctx = PipelineContext::from_env().with_gen_threads(threads);
     let data = ctx.dataset(&spec).map_err(|e| CliError(e.to_string()))?;
     write_dataset(&data, out)?;
@@ -1061,10 +1057,8 @@ registry; `specrepro suite list` prints every registered suite with its
 generation, environment, and benchmark count.
 
 Dataset files: .csv, .arff (WEKA), or .json by extension.
---threads parallelizes fitting and generation. Fitted trees are
-bit-identical for any thread count. Generation with --threads >= 2 uses
-per-benchmark streams and is thread-count-invariant, but differs from
-the byte-stable sequential --threads 1 output.
+--threads parallelizes fitting and generation. Fitted trees and
+generated datasets are bit-identical for any thread count.
 
 generate and fit resolve through a content-addressed artifact store
 (SPECREPRO_CACHE_DIR when set, else <system temp>/specrepro-cache):

@@ -241,3 +241,31 @@ fn flags_reachable_from_integration() {
     let f = Flags::parse(&argv(&["--k", "3"])).unwrap();
     assert_eq!(f.parsed_or::<usize>("k", 0).unwrap(), 3);
 }
+
+#[test]
+fn generate_writes_identical_files_on_any_thread_count() {
+    // Each run gets its own empty artifact store, so both generate
+    // cold: with a shared store the second run would replay the first
+    // run's cached bytes and prove nothing.
+    let dir = std::env::temp_dir().join(format!("spec_cli_threads_{}", std::process::id()));
+    let mut files = Vec::new();
+    for threads in ["1", "4"] {
+        let out = dir.join(format!("t{threads}.csv"));
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_specrepro"))
+            .args(["generate", "--suite", "omp2001", "--samples", "1200"])
+            .args(["--seed", "11", "--threads", threads, "--out"])
+            .arg(&out)
+            .env("SPECREPRO_CACHE_DIR", dir.join(format!("store{threads}")))
+            .env("SPECREPRO_OBS_LOG", "0")
+            .status()
+            .expect("run specrepro");
+        assert!(status.success(), "--threads {threads}: {status}");
+        files.push(std::fs::read(&out).expect("generated file"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(files[0].len() > 1200, "the file holds the samples");
+    assert!(
+        files[0] == files[1],
+        "--threads 1 and --threads 4 wrote different files"
+    );
+}

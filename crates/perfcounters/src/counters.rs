@@ -11,7 +11,7 @@
 //! CPI itself comes from the fixed counters, so it is measured over the
 //! full interval without multiplexing error.
 
-use crate::events::{EventId, INTERVAL_INSTRUCTIONS, N_EVENTS, N_PROGRAMMABLE_COUNTERS};
+use crate::events::{INTERVAL_INSTRUCTIONS, N_EVENTS, N_PROGRAMMABLE_COUNTERS};
 use crate::sample::Sample;
 use mathkit::sampling::standard_normal;
 use rand::Rng;
@@ -86,32 +86,51 @@ impl CounterBank {
     }
 
     /// Measures one interval: given the *true* per-instruction densities,
-    /// produces the densities the multiplexed PMU would report.
+    /// produces the densities the multiplexed PMU would report, and
+    /// counts the interval in the PMU metrics. CPI passes through
+    /// unchanged (fixed counters).
+    pub fn measure<R: Rng + ?Sized>(&self, truth: &Sample, rng: &mut R) -> Sample {
+        self.count_intervals(1);
+        let mut measured = truth.clone();
+        self.measure_densities(measured.densities_mut(), rng);
+        measured
+    }
+
+    /// Measures one interval in place: `densities` holds the true
+    /// per-instruction densities on entry and the measured ones on
+    /// return.
     ///
     /// Each event's observed count over its sub-window is modeled as a
-    /// binomial draw (normal approximation), then extrapolated to the full
-    /// interval. CPI passes through unchanged (fixed counters).
-    pub fn measure<R: Rng + ?Sized>(&self, truth: &Sample, rng: &mut R) -> Sample {
-        obskit::metrics::incr(obskit::metrics::Metric::PmuIntervals);
+    /// binomial draw (normal approximation), then extrapolated to the
+    /// full interval. Records no metrics, so a generator can count a
+    /// whole block of intervals with one
+    /// [`count_intervals`](CounterBank::count_intervals).
+    pub fn measure_densities<R: Rng + ?Sized>(&self, densities: &mut [f64; N_EVENTS], rng: &mut R) {
         if !self.config.multiplexing_noise {
-            return truth.clone();
+            return;
         }
-        obskit::metrics::add(
-            obskit::metrics::Metric::PmuRotations,
-            self.rotation_slots() as u64,
-        );
         let window = self.observation_window() as f64;
-        let mut measured = Sample::zeros(truth.cpi());
-        for e in EventId::ALL {
-            let p = truth.get(e).max(0.0);
+        for d in densities.iter_mut() {
+            let p = d.max(0.0);
             // Normal approximation to Binomial(window, p); for the rare
             // events here p is tiny so the variance is ~window * p.
             let expectation = window * p;
             let sd = (window * p * (1.0 - p.min(1.0))).max(0.0).sqrt();
             let count = (expectation + sd * standard_normal(rng)).max(0.0);
-            measured.set(e, count / window);
+            *d = count / window;
         }
-        measured
+    }
+
+    /// Counts `n` measured intervals in the PMU metrics: `pmu.intervals`,
+    /// and `pmu.rotations` (one per rotation slot) when multiplexing.
+    pub fn count_intervals(&self, n: u64) {
+        obskit::metrics::add(obskit::metrics::Metric::PmuIntervals, n);
+        if self.config.multiplexing_noise {
+            obskit::metrics::add(
+                obskit::metrics::Metric::PmuRotations,
+                n * self.rotation_slots() as u64,
+            );
+        }
     }
 
     /// Measures a batch of true samples, returning the measured samples in
@@ -141,6 +160,7 @@ impl Default for CounterBank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::EventId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -43,7 +43,7 @@ pub mod events;
 pub mod sample;
 
 pub use counters::CounterBank;
-pub use dataset::{ColumnStore, Dataset};
+pub use dataset::{BlockMut, ColumnStore, Dataset};
 pub use events::EventId;
 pub use sample::Sample;
 

@@ -694,7 +694,7 @@ mod tests {
 
     fn sample_dataset(n: usize) -> Dataset {
         let mut rng = StdRng::seed_from_u64(7);
-        Suite::cpu2006().generate(&mut rng, n, &GeneratorConfig::default())
+        Suite::cpu2006().generate(&mut rng, n, &GeneratorConfig::default(), 1)
     }
 
     fn chunk_of(ds: &Dataset, rows: Range<usize>) -> Vec<u8> {

@@ -383,7 +383,7 @@ mod tests {
 
     fn sample_dataset(n: usize) -> Dataset {
         let mut rng = StdRng::seed_from_u64(99);
-        Suite::cpu2006().generate(&mut rng, n, &GeneratorConfig::default())
+        Suite::cpu2006().generate(&mut rng, n, &GeneratorConfig::default(), 1)
     }
 
     fn assert_bit_identical(a: &Dataset, b: &Dataset) {

@@ -122,8 +122,8 @@ impl PipelineContext {
         self
     }
 
-    /// Sets the thread-count execution hint for per-benchmark-stream
-    /// generation (never affects artifact bytes).
+    /// Sets the thread-count execution hint for generation (never
+    /// affects artifact bytes).
     #[must_use]
     pub fn with_gen_threads(mut self, gen_threads: usize) -> Self {
         self.gen_threads = gen_threads.max(1);

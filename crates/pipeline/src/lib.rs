@@ -46,8 +46,8 @@ pub use fingerprint::{
     Fingerprintable, SCHEMA_VERSION,
 };
 pub use spec::{
-    suite_tree_config, DatasetInput, DatasetSpec, PipelineError, RngStreams, SplitPart, SplitSpec,
-    SuiteKind, TransferPart, TransferSplitSpec, TreeSpec, N_SAMPLES, SEED_CPU2006, SEED_CPU2017,
-    SEED_CPU2026, SEED_MATRIX, SEED_OMP2001, SEED_SPLIT,
+    suite_tree_config, DatasetInput, DatasetSpec, PipelineError, SplitPart, SplitSpec, SuiteKind,
+    TransferPart, TransferSplitSpec, TreeSpec, N_SAMPLES, SEED_CPU2006, SEED_CPU2017, SEED_CPU2026,
+    SEED_MATRIX, SEED_OMP2001, SEED_SPLIT,
 };
 pub use store::{ArtifactStore, StoreStats, CACHE_DIR_ENV};

@@ -23,7 +23,7 @@ use modeltree::M5Config;
 use perfcounters::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use workloads::generator::{GeneratorConfig, Suite};
+use workloads::generator::{GeneratorConfig, Suite, GENERATOR_VERSION};
 use workloads::registry::{SuiteDef, SuiteRegistry};
 
 /// A pipeline failure: unknown benchmark, degenerate training data, …
@@ -185,19 +185,6 @@ impl SuiteKind {
     }
 }
 
-/// How the generator consumes randomness (the two modes produce
-/// different — but individually deterministic — datasets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RngStreams {
-    /// One sequential stream ([`Suite::generate`]); byte-stable for the
-    /// historical seeds, used by every checked-in experiment.
-    #[default]
-    Single,
-    /// Per-benchmark streams ([`Suite::generate_par`]); thread-count
-    /// invariant, used when generation itself should parallelize.
-    PerBenchmark,
-}
-
 /// Recipe for one generated dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
@@ -215,8 +202,6 @@ pub struct DatasetSpec {
     pub seed: u64,
     /// Counter-architecture and cost-model configuration.
     pub config: GeneratorConfig,
-    /// RNG stream layout (see [`RngStreams`]).
-    pub streams: RngStreams,
 }
 
 impl DatasetSpec {
@@ -229,7 +214,6 @@ impl DatasetSpec {
             n_samples,
             seed,
             config: GeneratorConfig::default(),
-            streams: RngStreams::Single,
         }
     }
 
@@ -284,13 +268,6 @@ impl DatasetSpec {
         self
     }
 
-    /// Selects the RNG stream layout.
-    #[must_use]
-    pub fn with_streams(mut self, streams: RngStreams) -> Self {
-        self.streams = streams;
-        self
-    }
-
     /// The stage cache key.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut h = FingerprintHasher::new("dataset");
@@ -315,15 +292,12 @@ impl DatasetSpec {
         if self.config != GeneratorConfig::default() {
             out.push_str(" cfg=custom");
         }
-        if self.streams == RngStreams::PerBenchmark {
-            out.push_str(" streams=per-benchmark");
-        }
         out
     }
 
     /// Runs the generation stage (no caching — the context handles
-    /// that). `gen_threads` only affects wall clock in
-    /// [`RngStreams::PerBenchmark`] mode, never the output.
+    /// that). `gen_threads` only affects wall clock, never the output
+    /// (see [`Suite::generate`]).
     ///
     /// # Errors
     ///
@@ -341,12 +315,7 @@ impl DatasetSpec {
                 .ok_or_else(|| {
                     PipelineError(format!("benchmark {name:?} not in {}", suite.name()))
                 }),
-            None => Ok(match self.streams {
-                RngStreams::Single => suite.generate(&mut rng, self.n_samples, &self.config),
-                RngStreams::PerBenchmark => {
-                    suite.generate_par(&mut rng, self.n_samples, &self.config, gen_threads)
-                }
-            }),
+            None => Ok(suite.generate(&mut rng, self.n_samples, &self.config, gen_threads)),
         }
     }
 }
@@ -359,10 +328,11 @@ impl Fingerprintable for DatasetSpec {
         h.write_usize(self.n_samples);
         h.write_u64(self.seed);
         self.config.fingerprint_into(h);
-        h.write_str(match self.streams {
-            RngStreams::Single => "single",
-            RngStreams::PerBenchmark => "per-benchmark",
-        });
+        // The generator's output changes with its version, so the key
+        // must too: a persisted store must not serve another version's
+        // datasets under this spec.
+        h.write_str("generator");
+        h.write_u32(GENERATOR_VERSION);
     }
 }
 
@@ -725,7 +695,7 @@ mod tests {
         let spec = DatasetSpec::new(SuiteKind::cpu2006(), 300, 7);
         let via_spec = spec.compute(1).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        let direct = Suite::cpu2006().generate(&mut rng, 300, &GeneratorConfig::default());
+        let direct = Suite::cpu2006().generate(&mut rng, 300, &GeneratorConfig::default(), 1);
         assert_eq!(via_spec, direct);
     }
 
@@ -741,7 +711,6 @@ mod tests {
             base.clone().with_memory_pressure(1.0),
             base.clone().with_benchmark("429.mcf"),
             base.clone().with_config(custom),
-            base.clone().with_streams(RngStreams::PerBenchmark),
         ];
         let k0 = base.fingerprint();
         let mut seen = std::collections::BTreeSet::new();

@@ -19,6 +19,7 @@
 use crate::fault::mix3;
 use crate::StreamConfig;
 use perfcounters::counters::CounterBank;
+use perfcounters::events::N_EVENTS;
 use perfcounters::{Dataset, EventId, Sample};
 use pipeline::chunked::encode_chunk;
 use pipeline::SuiteKind;
@@ -195,15 +196,16 @@ impl StreamPlan {
         let mut rng =
             StdRng::seed_from_u64(mix3(self.fleet.seed ^ DOM_RECORD, host, u64::from(seq)));
         let bench = &self.suite.benchmarks()[self.host_labels[host as usize] as usize];
-        let phase = bench.pick_phase(&mut rng);
-        let densities = phase.sample_densities(&mut rng);
-        let cpi =
-            self.fleet
-                .generator
-                .cost
-                .noisy_cpi(&densities, self.suite.environment(), &mut rng);
-        let truth = Sample::from_densities(cpi, &densities);
-        self.bank.measure(&truth, &mut rng)
+        let mut measured = [0.0; N_EVENTS];
+        let cpi = self.suite.measure_phase(
+            bench.pick_phase(&mut rng),
+            &self.fleet.generator,
+            &self.bank,
+            &mut rng,
+            &mut measured,
+        );
+        self.bank.count_intervals(1);
+        Sample::from_densities(cpi, &measured)
     }
 
     /// The canonical row order of `shard`: seq-major round-robin over

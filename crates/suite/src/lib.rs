@@ -23,7 +23,7 @@
 //! use spec_suite_repro::prelude::*;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let data = Suite::cpu2006().generate(&mut rng, 2_000, &GeneratorConfig::default());
+//! let data = Suite::cpu2006().generate(&mut rng, 2_000, &GeneratorConfig::default(), 1);
 //! let tree = ModelTree::fit(&data, &M5Config::default()).unwrap();
 //! assert!(tree.n_leaves() >= 1);
 //! ```

@@ -34,7 +34,7 @@
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let gen = GeneratorConfig::default();
-//! let cpu = Suite::cpu2006().generate(&mut rng, 20_000, &gen);
+//! let cpu = Suite::cpu2006().generate(&mut rng, 20_000, &gen, 1);
 //! let (train, test) = cpu.split_random(&mut rng, 0.1);
 //! let tree = ModelTree::fit(&train, &M5Config::default()).unwrap();
 //! let report = TransferabilityReport::assess(
@@ -558,7 +558,7 @@ mod tests {
 
     fn cpu_split(seed: u64, n: usize) -> (Dataset, Dataset) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let data = Suite::cpu2006().generate(&mut rng, n, &GeneratorConfig::default());
+        let data = Suite::cpu2006().generate(&mut rng, n, &GeneratorConfig::default(), 1);
         data.split_random(&mut rng, 0.1)
     }
 
@@ -586,8 +586,8 @@ mod tests {
     fn cross_suite_is_not_transferable() {
         let mut rng = StdRng::seed_from_u64(2);
         let gen = GeneratorConfig::default();
-        let cpu = Suite::cpu2006().generate(&mut rng, 8_000, &gen);
-        let omp = Suite::omp2001().generate(&mut rng, 8_000, &gen);
+        let cpu = Suite::cpu2006().generate(&mut rng, 8_000, &gen, 1);
+        let omp = Suite::omp2001().generate(&mut rng, 8_000, &gen, 1);
         let (train, _) = cpu.split_random(&mut rng, 0.5);
         let tree = ModelTree::fit(&train, &M5Config::default()).unwrap();
         let report = TransferabilityReport::assess(
@@ -645,8 +645,8 @@ mod tests {
     fn effect_size_small_within_large_across() {
         let mut rng = StdRng::seed_from_u64(21);
         let gen = GeneratorConfig::default();
-        let cpu = Suite::cpu2006().generate(&mut rng, 6_000, &gen);
-        let omp = Suite::omp2001().generate(&mut rng, 6_000, &gen);
+        let cpu = Suite::cpu2006().generate(&mut rng, 6_000, &gen, 1);
+        let omp = Suite::omp2001().generate(&mut rng, 6_000, &gen, 1);
         let (train, rest) = cpu.split_random(&mut rng, 0.1);
         let tree = ModelTree::fit(&train, &M5Config::default()).unwrap();
         let config = TransferConfig::default();
@@ -703,7 +703,7 @@ mod tests {
     #[test]
     fn fraction_sweep_improves_then_saturates() {
         let mut rng = StdRng::seed_from_u64(11);
-        let data = Suite::cpu2006().generate(&mut rng, 10_000, &GeneratorConfig::default());
+        let data = Suite::cpu2006().generate(&mut rng, 10_000, &GeneratorConfig::default(), 1);
         let (pool, test) = data.split_random(&mut rng, 0.5);
         let points = train_fraction_sweep(
             &pool,

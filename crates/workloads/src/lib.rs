@@ -33,7 +33,7 @@
 //!
 //! let suite = Suite::cpu2006();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let data = suite.generate(&mut rng, 1000, &GeneratorConfig::default());
+//! let data = suite.generate(&mut rng, 1000, &GeneratorConfig::default(), 1);
 //! assert_eq!(data.len(), 1000);
 //! assert_eq!(data.benchmark_count(), 29);
 //! ```
@@ -49,7 +49,7 @@ pub mod registry;
 pub mod trace;
 
 pub use costmodel::{CostModel, Environment};
-pub use generator::{GeneratorConfig, Suite};
+pub use generator::{GeneratorConfig, Suite, GENERATOR_VERSION};
 pub use phases::{BenchmarkModel, Phase};
 pub use registry::{SuiteDef, SuiteRegistry};
 pub use trace::{generate_trace, Trace, TraceConfig};

@@ -288,8 +288,7 @@ impl BenchmarkModel {
             "benchmark {} has no phases",
             self.name
         );
-        let weights: Vec<f64> = self.phases.iter().map(Phase::weight).collect();
-        &self.phases[weighted_index(rng, &weights)]
+        &self.phases[weighted_index(rng, self.phases.iter().map(Phase::weight))]
     }
 }
 

@@ -10,11 +10,11 @@
 //! temporal structure (phase runs, CPI time series) becomes available for
 //! phase-oriented analyses.
 
-use crate::costmodel::Environment;
 use crate::generator::{GeneratorConfig, Suite};
 use crate::phases::BenchmarkModel;
 use mathkit::sampling::weighted_index;
 use perfcounters::counters::CounterBank;
+use perfcounters::events::N_EVENTS;
 use perfcounters::{Dataset, Sample};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -125,24 +125,23 @@ pub fn generate_trace<R: Rng + ?Sized>(
         .iter()
         .find(|b| b.name() == benchmark_name)?;
     let bank = CounterBank::new(generator.counters);
-    let env: Environment = suite.environment();
-    let weights: Vec<f64> = bench.phases().iter().map(|p| p.weight()).collect();
+    let weights = || bench.phases().iter().map(|p| p.weight());
     let stay_probability = 1.0 - 1.0 / trace_config.mean_run_length.max(1.0);
 
     let mut samples = Vec::with_capacity(n_intervals);
     let mut phase_indices = Vec::with_capacity(n_intervals);
-    let mut current = weighted_index(rng, &weights);
+    let mut current = weighted_index(rng, weights());
+    let mut measured = [0.0; N_EVENTS];
     for _ in 0..n_intervals {
         if rng.gen::<f64>() >= stay_probability {
-            current = weighted_index(rng, &weights);
+            current = weighted_index(rng, weights());
         }
         let phase = &bench.phases()[current];
-        let densities = phase.sample_densities(rng);
-        let cpi = generator.cost.noisy_cpi(&densities, env, rng);
-        let truth = Sample::from_densities(cpi, &densities);
-        samples.push(bank.measure(&truth, rng));
+        let cpi = suite.measure_phase(phase, generator, &bank, rng, &mut measured);
+        samples.push(Sample::from_densities(cpi, &measured));
         phase_indices.push(current);
     }
+    bank.count_intervals(n_intervals as u64);
     Some(Trace {
         benchmark: bench.name().to_owned(),
         samples,

@@ -99,7 +99,7 @@ fn suite_generation_scales_linearly_in_count() {
     let suite = Suite::omp2001();
     for n in [0, 1, 11, 997] {
         let mut rng = StdRng::seed_from_u64(7);
-        let ds = suite.generate(&mut rng, n, &config);
+        let ds = suite.generate(&mut rng, n, &config, 1);
         assert_eq!(ds.len(), n);
     }
 }

@@ -20,7 +20,7 @@ fn main() {
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(31);
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let data = Suite::cpu2006().generate(&mut rng, n_samples, &GeneratorConfig::default());
+    let data = Suite::cpu2006().generate(&mut rng, n_samples, &GeneratorConfig::default(), 1);
     let config = M5Config::default()
         .with_min_leaf((data.len() / 120).max(4))
         .with_sd_fraction(0.08);

@@ -24,7 +24,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Fit the suite tree on i.i.d. suite data, as the paper does.
-    let train = suite.generate(&mut rng, 30_000, &gen);
+    let train = suite.generate(&mut rng, 30_000, &gen, 1);
     let tree = ModelTree::fit(&train, &M5Config::default().with_min_leaf(150))
         .expect("fit on non-empty data");
 

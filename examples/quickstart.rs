@@ -18,7 +18,7 @@ fn main() {
     //    counters.
     let suite = Suite::cpu2006();
     let mut rng = StdRng::seed_from_u64(seed);
-    let data = suite.generate(&mut rng, n_samples, &GeneratorConfig::default());
+    let data = suite.generate(&mut rng, n_samples, &GeneratorConfig::default(), 1);
     println!(
         "generated {} samples across {} benchmarks; suite CPI = {:.3}",
         data.len(),

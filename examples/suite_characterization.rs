@@ -13,7 +13,7 @@ use spec_suite_repro::prelude::*;
 
 fn characterize_suite(suite: &Suite, n_samples: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let data = suite.generate(&mut rng, n_samples, &GeneratorConfig::default());
+    let data = suite.generate(&mut rng, n_samples, &GeneratorConfig::default(), 1);
     let config = M5Config::default()
         .with_min_leaf((data.len() / 120).max(4))
         .with_sd_fraction(0.08);

@@ -19,8 +19,8 @@ fn main() {
 
     let gen = GeneratorConfig::default();
     let mut rng = StdRng::seed_from_u64(seed);
-    let cpu = Suite::cpu2006().generate(&mut rng, n_samples, &gen);
-    let omp = Suite::omp2001().generate(&mut rng, n_samples, &gen);
+    let cpu = Suite::cpu2006().generate(&mut rng, n_samples, &gen, 1);
+    let omp = Suite::omp2001().generate(&mut rng, n_samples, &gen, 1);
 
     // The paper trains on 10% and holds out the rest.
     let (cpu_train, cpu_rest) = cpu.split_random(&mut rng, 0.10);

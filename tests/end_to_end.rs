@@ -7,7 +7,7 @@ use spec_suite_repro::prelude::*;
 
 fn generate(suite: &Suite, n: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
-    suite.generate(&mut rng, n, &GeneratorConfig::default())
+    suite.generate(&mut rng, n, &GeneratorConfig::default(), 1)
 }
 
 #[test]

@@ -12,7 +12,7 @@ const N: usize = 24_000;
 
 fn generate(suite: &Suite, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
-    suite.generate(&mut rng, N, &GeneratorConfig::default())
+    suite.generate(&mut rng, N, &GeneratorConfig::default(), 1)
 }
 
 fn fit(data: &Dataset) -> ModelTree {

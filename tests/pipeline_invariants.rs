@@ -8,7 +8,7 @@ use spec_suite_repro::prelude::*;
 
 fn generate(suite: &Suite, n: usize, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
-    suite.generate(&mut rng, n, &GeneratorConfig::default())
+    suite.generate(&mut rng, n, &GeneratorConfig::default(), 1)
 }
 
 #[test]
@@ -116,13 +116,13 @@ fn platform_drift_decays_monotonically_around_training_contention() {
     // An OMP model trained at contention 1.0 must fit its own platform
     // best, with accuracy degrading in both directions.
     let mut rng = StdRng::seed_from_u64(77);
-    let base = Suite::omp2001().generate(&mut rng, 8_000, &GeneratorConfig::default());
+    let base = Suite::omp2001().generate(&mut rng, 8_000, &GeneratorConfig::default(), 1);
     let tree = ModelTree::fit(&base, &M5Config::default().with_min_leaf(60)).expect("fit");
     let mae_at = |contention: f64| {
         let mut cfg = GeneratorConfig::default();
         cfg.cost = cfg.cost.with_contention(contention);
         let mut rng = StdRng::seed_from_u64(78);
-        let shifted = Suite::omp2001().generate(&mut rng, 4_000, &cfg);
+        let shifted = Suite::omp2001().generate(&mut rng, 4_000, &cfg, 1);
         tree.mean_abs_error(&shifted)
     };
     let at_half = mae_at(0.5);
