@@ -1,22 +1,232 @@
-//! Pure artifact renderers for the E2–E8 experiments.
+//! The artifact registry: every experiment, the `results/` files it
+//! owns, and the one function that renders their bytes.
 //!
-//! Each function returns the exact text its experiment binary prints,
-//! so the binaries stay thin stdout wrappers and the testkit golden
-//! suite can enforce the checked-in `results/` files byte for byte
-//! without spawning processes. Anything here that drifts — a numeric
-//! change, a formatting tweak, a structural difference in the fitted
-//! trees — shows up as a golden-snapshot diff in CI.
+//! [`REGISTRY`] is the single source of `results/`. The `reproduce`
+//! binary renders entries through one [`PipelineContext`] and writes
+//! their files into [`results_dir`]; the testkit golden suite renders
+//! the same entries and compares every file byte for byte, so anything
+//! here that drifts — a numeric change, a formatting tweak, a
+//! structural difference in the fitted trees — fails CI.
 
 use std::fmt::Write;
+use std::path::{Path, PathBuf};
 
-use characterize::{ProfileTable, SimilarityMatrix};
-use modeltree::{display, ModelTree};
+use baselines::{CartConfig, KnnRegressor, OlsRegressor, RegressionTree, Regressor};
+use characterize::{greedy_subset, kmeans_subset, ProfileTable, SimilarityMatrix};
+use modeltree::{display, k_fold, M5Config, ModelTree};
+use perfcounters::events::{EventId, FIXED_COUNTERS, INTERVAL_INSTRUCTIONS};
 use perfcounters::Dataset;
-use pipeline::TransferSplit;
-use transfer::matrix::hardest_member;
+use pipeline::{
+    DatasetInput, DatasetSpec, PipelineContext, SplitPart, SplitSpec, SuiteKind, TransferPart,
+    TransferSplit, TransferSplitSpec, TreeSpec,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use serde_json::json;
+use spec_stats::{AcceptanceThresholds, PredictionMetrics};
+use transfer::matrix::{hardest_member, member_datasets, member_rows};
 use transfer::{TransferConfig, TransferMatrix, TransferabilityReport};
+use workloads::generator::GeneratorConfig;
 
-use crate::SEED_SPLIT;
+use crate::{
+    cpu2006_artifacts, matrix_artifacts, omp2001_artifacts, suite_tree_config, transfer_artifacts,
+    N_SAMPLES, SEED_CPU2006, SEED_OMP2001, SEED_SPLIT,
+};
+
+/// Where an entry's golden is checked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cost {
+    /// Cheap enough for the debug tier-1 run (`cargo test`).
+    Tier1,
+    /// Too slow in debug: checked by `cargo test --release -p testkit`.
+    Release,
+}
+
+/// One experiment and the `results/` files it owns.
+pub struct Entry {
+    /// The name `reproduce` takes on its command line.
+    pub name: &'static str,
+    /// The files it owns, relative to [`results_dir`].
+    pub files: &'static [&'static str],
+    /// Where its golden is checked.
+    pub cost: Cost,
+    /// Renders one text per file of `files`, in the same order.
+    render: fn(&PipelineContext) -> Vec<String>,
+}
+
+impl Entry {
+    /// Renders every file this entry owns, paired with its exact bytes.
+    pub fn render(&self, ctx: &PipelineContext) -> Vec<(&'static str, String)> {
+        let texts = (self.render)(ctx);
+        assert_eq!(texts.len(), self.files.len(), "{}", self.name);
+        self.files.iter().copied().zip(texts).collect()
+    }
+}
+
+/// Every experiment: E1–E14 in EXPERIMENTS.md order, then the paper-scale
+/// Section VI run and the JSON report.
+pub const REGISTRY: &[Entry] = &[
+    Entry {
+        name: "table1",
+        files: &["table1.txt"],
+        cost: Cost::Tier1,
+        render: |_| vec![table1()],
+    },
+    Entry {
+        name: "figure1",
+        files: &["figure1.txt", "figure1.dot"],
+        cost: Cost::Tier1,
+        render: |ctx| {
+            let (data, tree) = cpu2006_artifacts(ctx);
+            let art = figure1(&data, &tree);
+            vec![art.text, art.dot]
+        },
+    },
+    Entry {
+        name: "table2",
+        files: &["table2.txt"],
+        cost: Cost::Tier1,
+        render: |ctx| {
+            let (data, tree) = cpu2006_artifacts(ctx);
+            vec![lm_distribution("II", &data, &tree)]
+        },
+    },
+    Entry {
+        name: "table3",
+        files: &["table3.txt"],
+        cost: Cost::Tier1,
+        render: |ctx| {
+            let (data, tree) = cpu2006_artifacts(ctx);
+            vec![table3(&data, &tree)]
+        },
+    },
+    Entry {
+        name: "figure2",
+        files: &["figure2.txt", "figure2.dot"],
+        cost: Cost::Tier1,
+        render: |ctx| {
+            let (data, tree) = omp2001_artifacts(ctx);
+            let art = figure2(&data, &tree);
+            vec![art.text, art.dot]
+        },
+    },
+    Entry {
+        name: "table4",
+        files: &["table4.txt"],
+        cost: Cost::Tier1,
+        render: |ctx| {
+            let (data, tree) = omp2001_artifacts(ctx);
+            vec![lm_distribution("IV", &data, &tree)]
+        },
+    },
+    Entry {
+        name: "transferability",
+        files: &["transferability.txt"],
+        cost: Cost::Tier1,
+        render: |ctx| {
+            let (split, cpu_tree, omp_tree) = transfer_artifacts(ctx);
+            vec![transferability(&split, &cpu_tree, &omp_tree)]
+        },
+    },
+    Entry {
+        name: "generation_matrix",
+        files: &["generation_matrix.txt"],
+        cost: Cost::Tier1,
+        render: |ctx| {
+            // The thread count only moves wall clock; the matrix is
+            // bit-identical for every value.
+            let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+            vec![generation_matrix(&matrix_artifacts(ctx, threads))]
+        },
+    },
+    Entry {
+        name: "baselines_cmp",
+        files: &["baselines_cmp.txt"],
+        cost: Cost::Release,
+        render: |ctx| vec![baselines_cmp(ctx)],
+    },
+    Entry {
+        name: "subsetting",
+        files: &["subsetting.txt"],
+        cost: Cost::Tier1,
+        render: |ctx| vec![subsetting(ctx)],
+    },
+    Entry {
+        name: "ablations",
+        files: &["ablations.txt"],
+        cost: Cost::Release,
+        render: |ctx| vec![ablations(ctx)],
+    },
+    Entry {
+        name: "member_transfer",
+        files: &["member_transfer.txt"],
+        cost: Cost::Tier1,
+        render: |ctx| vec![member_transfer(ctx)],
+    },
+    Entry {
+        name: "input_sets",
+        files: &["input_sets.txt"],
+        cost: Cost::Tier1,
+        render: |ctx| vec![input_sets(ctx)],
+    },
+    Entry {
+        name: "paper_scale",
+        files: &["paper_scale.txt"],
+        cost: Cost::Release,
+        render: |ctx| vec![paper_scale(ctx)],
+    },
+    Entry {
+        name: "report",
+        files: &["report.json"],
+        cost: Cost::Tier1,
+        render: |ctx| vec![report(ctx)],
+    },
+];
+
+/// The registry entry called `name`.
+pub fn entry(name: &str) -> Option<&'static Entry> {
+    REGISTRY.iter().find(|e| e.name == name)
+}
+
+/// The repository's `results/` directory, resolved from this crate's
+/// manifest so it is the same from any working directory.
+pub fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// Experiment E1 — Table I: the CPU performance metrics used in the
+/// study.
+fn table1() -> String {
+    let mut text = String::new();
+    text.push_str(
+        "Table I: CPU performance metrics used in this study\n\
+         (each PMU event is divided by INST_RETIRED.ANY; values are per-instruction)\n\n",
+    );
+    writeln!(text, "{:<12} {:<28} Description", "Metric", "PMU event").unwrap();
+    writeln!(
+        text,
+        "{:<12} {:<28} CPU clock cycles per instruction",
+        "CPI", "CPU_CLK_UNHALTED.CORE"
+    )
+    .unwrap();
+    for e in EventId::ALL {
+        writeln!(
+            text,
+            "{:<12} {:<28} {}",
+            e.short_name(),
+            e.pmu_event_name(),
+            e.description()
+        )
+        .unwrap();
+    }
+    writeln!(text, "\nfixed counters: {}", FIXED_COUNTERS.join(", ")).unwrap();
+    writeln!(
+        text,
+        "multiplexing interval (sample width): {INTERVAL_INSTRUCTIONS} instructions"
+    )
+    .unwrap();
+    text
+}
 
 /// A rendered figure: the stdout report plus the Graphviz source.
 pub struct FigureArtifact {
@@ -70,23 +280,12 @@ pub fn figure2(data: &Dataset, tree: &ModelTree) -> FigureArtifact {
     render_figure(data, tree, "2", "V", "SPEC OMP2001", "results/figure2.dot")
 }
 
-/// Experiment E3 — Table II: sample distribution across linear models
-/// by SPEC CPU2006 benchmark.
-pub fn table2(data: &Dataset, tree: &ModelTree) -> String {
-    let table = ProfileTable::build(tree, data);
+/// Experiments E3 and E6 — Tables II (SPEC CPU2006) and IV (SPEC
+/// OMP2001): sample distribution across linear models by benchmark.
+fn lm_distribution(table: &str, data: &Dataset, tree: &ModelTree) -> String {
     format!(
-        "Table II: sample distribution across linear models by benchmark (percent)\n\n{}\n",
-        table.render()
-    )
-}
-
-/// Experiment E6 — Table IV: sample distribution across linear models
-/// by SPEC OMP2001 benchmark.
-pub fn table4(data: &Dataset, tree: &ModelTree) -> String {
-    let table = ProfileTable::build(tree, data);
-    format!(
-        "Table IV: sample distribution across linear models by benchmark (percent)\n\n{}\n",
-        table.render()
+        "Table {table}: sample distribution across linear models by benchmark (percent)\n\n{}\n",
+        ProfileTable::build(tree, data).render()
     )
 }
 
@@ -401,4 +600,584 @@ pub fn generation_matrix(matrix: &TransferMatrix) -> String {
     )
     .unwrap();
     text
+}
+
+/// Experiment E10 — model tree vs baseline regressors (the related-work
+/// comparison of the paper's reference \[15\]) on both suites.
+///
+/// The 50/50 splits and the M5' trees resolve through the pipeline's
+/// artifact store; the baseline regressors (OLS, CART, k-NN) are cheap
+/// one-off fits and stay direct.
+fn baselines_cmp(ctx: &PipelineContext) -> String {
+    let mut text = String::from(
+        "Model tree vs baselines (paper ref [15]: model trees match ANN/SVM accuracy\n\
+         while staying interpretable; a single linear model cannot):\n\n",
+    );
+    for (suite_name, spec) in [
+        ("SPEC CPU2006", DatasetSpec::cpu2006()),
+        ("SPEC OMP2001", DatasetSpec::omp2001()),
+    ] {
+        compare_baselines(&mut text, ctx, suite_name, spec);
+    }
+    text
+}
+
+fn compare_baselines(
+    text: &mut String,
+    ctx: &PipelineContext,
+    suite_name: &str,
+    spec: DatasetSpec,
+) {
+    let evaluate = |text: &mut String, name: &str, predictions: &[f64], test: &Dataset| {
+        let metrics =
+            PredictionMetrics::from_predictions(predictions, &test.cpis()).expect("non-empty");
+        writeln!(text, "  {name:<22} {metrics}").unwrap();
+    };
+    let split = SplitSpec::new(spec, SEED_SPLIT, 0.5);
+    let (train, test) = ctx.split(&split).expect("suite generates");
+    writeln!(
+        text,
+        "{suite_name}: train {} / test {}",
+        train.len(),
+        test.len()
+    )
+    .unwrap();
+
+    let tree = ctx
+        .tree(&TreeSpec {
+            input: DatasetInput::SplitPart(split, SplitPart::First),
+            config: suite_tree_config(train.len()),
+        })
+        .expect("training half fits");
+    evaluate(text, "M5' model tree", &tree.predict_all(&test), &test);
+
+    let ols = OlsRegressor::fit(&train).expect("ols");
+    evaluate(text, "global linear (OLS)", &ols.predict_all(&test), &test);
+
+    let cart = RegressionTree::fit(
+        &train,
+        CartConfig {
+            min_leaf: (train.len() / 240).max(4),
+            max_depth: 14,
+        },
+    )
+    .expect("cart");
+    evaluate(
+        text,
+        "CART (constant leaves)",
+        &cart.predict_all(&test),
+        &test,
+    );
+
+    let knn = KnnRegressor::fit(&train, 15).expect("knn");
+    // k-NN is O(n) per query; evaluate on a subsample for tractability.
+    let mut rng = StdRng::seed_from_u64(SEED_SPLIT + 1);
+    let (test_small, _) = test.split_random(
+        &mut rng,
+        2_000.0_f64.min(test.len() as f64) / test.len() as f64,
+    );
+    evaluate(
+        text,
+        "k-NN (k=15, subsample)",
+        &knn.predict_all(&test_small),
+        &test_small,
+    );
+    writeln!(text).unwrap();
+}
+
+/// Experiment E11 — benchmark subsetting over leaf profiles (the
+/// application surveyed in the paper's related work).
+fn subsetting(ctx: &PipelineContext) -> String {
+    let (data, tree) = cpu2006_artifacts(ctx);
+    let table = ProfileTable::build(&tree, &data);
+    let mut text = String::from("Benchmark subsetting over LM-profile vectors (SPEC CPU2006)\n\n");
+    for k in [4, 6, 8] {
+        let g = greedy_subset(&table, k);
+        writeln!(text, "greedy k-center, k = {k}: {:?}", g.selected).unwrap();
+        writeln!(
+            text,
+            "  coverage: max {:.1}%, mean {:.1}%",
+            100.0 * g.max_distance,
+            100.0 * g.mean_distance
+        )
+        .unwrap();
+        let km = kmeans_subset(&table, k, SEED_CPU2006);
+        writeln!(text, "k-means,        k = {k}: {:?}", km.selected).unwrap();
+        writeln!(
+            text,
+            "  coverage: max {:.1}%, mean {:.1}%\n",
+            100.0 * km.max_distance,
+            100.0 * km.mean_distance
+        )
+        .unwrap();
+    }
+    text
+}
+
+/// Experiment E12 — ablation studies over the M5' design choices and
+/// the measurement substrate:
+///
+/// * smoothing / pruning / attribute-elimination on vs off (5-fold CV);
+/// * multiplexed vs oracle counters (does PMU multiplexing noise matter?);
+/// * training-fraction sweep backing the paper's "a model trained using
+///   only 10% of the data is transferable to the remaining data";
+/// * platform drift: an OMP2001 model tested off its contention level.
+///
+/// Datasets and suite trees resolve through the pipeline's artifact
+/// store; the k-fold CV internals and the stream-continuation splits of
+/// ablation 3 are inherently uncacheable and stay direct.
+fn ablations(ctx: &PipelineContext) -> String {
+    let cv_row = |text: &mut String, name: &str, data: &Dataset, config: &M5Config| {
+        let cv = k_fold(data, config, 5, SEED_SPLIT).expect("cv");
+        writeln!(
+            text,
+            "  {name:<28} MAE {:.4}  RMSE {:.4}  C {:.4}  leaves {:.1}",
+            cv.mean_mae(),
+            cv.mean_rmse(),
+            cv.mean_correlation(),
+            cv.mean_leaves()
+        )
+        .unwrap();
+    };
+    let mut text = String::new();
+
+    // A 20k subset keeps 5-fold CV fast while staying representative.
+    let spec_20k = DatasetSpec::new(SuiteKind::cpu2006(), 20_000, SEED_CPU2006);
+    let data = ctx.dataset(&spec_20k).expect("suite generates");
+    let base = suite_tree_config(data.len());
+
+    writeln!(
+        text,
+        "Ablation 1: M5' design choices (5-fold CV on 20k CPU2006 samples)"
+    )
+    .unwrap();
+    cv_row(&mut text, "full M5' (default)", &data, &base);
+    cv_row(
+        &mut text,
+        "no smoothing",
+        &data,
+        &base.with_smoothing(false),
+    );
+    cv_row(&mut text, "no pruning", &data, &base.with_prune(false));
+    cv_row(
+        &mut text,
+        "no attribute elimination",
+        &data,
+        &base.with_attribute_elimination(false),
+    );
+
+    writeln!(text, "\nAblation 2: counter multiplexing noise").unwrap();
+    let mut oracle_cfg = GeneratorConfig::default();
+    oracle_cfg.counters.multiplexing_noise = false;
+    let oracle_spec = spec_20k.clone().with_config(oracle_cfg);
+    let oracle = ctx.dataset(&oracle_spec).expect("suite generates");
+    cv_row(&mut text, "multiplexed counters", &data, &base);
+    cv_row(&mut text, "oracle counters", &oracle, &base);
+    // Cross-substrate: train on oracle data, test on multiplexed data.
+    let tree = ctx
+        .tree(&TreeSpec::new(oracle_spec, base))
+        .expect("oracle dataset fits");
+    let m = PredictionMetrics::from_predictions(&tree.predict_all(&data), &data.cpis())
+        .expect("metrics");
+    writeln!(text, "  oracle-trained on multiplexed test: {m}").unwrap();
+
+    writeln!(
+        text,
+        "\nAblation 3: training fraction (test = held-out remainder of 60k)"
+    )
+    .unwrap();
+    let full = ctx
+        .dataset(&DatasetSpec::cpu2006())
+        .expect("suite generates");
+    // The sweep reuses one RNG stream across fractions (each split
+    // continues the previous one's stream state), so the intermediate
+    // training sets are not independently addressable cache artifacts.
+    let mut rng = StdRng::seed_from_u64(SEED_SPLIT);
+    let (pool, test) = full.split_random(&mut rng, 0.5);
+    for fraction in [0.01, 0.02, 0.05, 0.10, 0.25, 0.50, 1.00] {
+        let (train, _) = pool.split_random(&mut rng, fraction);
+        let config = suite_tree_config(train.len());
+        let tree = ModelTree::fit(&train, &config).expect("fit");
+        let m = PredictionMetrics::from_predictions(&tree.predict_all(&test), &test.cpis())
+            .expect("metrics");
+        writeln!(
+            text,
+            "  train {:>6} samples ({:>5.1}% of suite): C {:.4}  MAE {:.4}  leaves {}",
+            train.len(),
+            100.0 * fraction * 0.5,
+            m.correlation,
+            m.mae,
+            tree.n_leaves()
+        )
+        .unwrap();
+    }
+    text.push_str(
+        "\n(the paper's claim: 10% of the data already yields a transferable model)\n\
+         \nAblation 4: platform drift (multi-threaded contention sweep)\n\
+         \x20 train OMP2001 model at contention 1.0; test on other contention levels\n",
+    );
+    let omp_spec = DatasetSpec::new(SuiteKind::omp2001(), 20_000, SEED_CPU2006 + 1);
+    let omp_tree = ctx
+        .tree(&TreeSpec::suite_tree(omp_spec))
+        .expect("omp dataset fits");
+    for contention in [0.5, 0.75, 1.0, 1.5, 2.0] {
+        let mut cfg = GeneratorConfig::default();
+        cfg.cost = cfg.cost.with_contention(contention);
+        let shifted_spec =
+            DatasetSpec::new(SuiteKind::omp2001(), 10_000, SEED_CPU2006 + 2).with_config(cfg);
+        let shifted = ctx.dataset(&shifted_spec).expect("suite generates");
+        let m =
+            PredictionMetrics::from_predictions(&omp_tree.predict_all(&shifted), &shifted.cpis())
+                .expect("metrics");
+        writeln!(
+            text,
+            "  contention {contention:>4.2}: C {:.4}  MAE {:.4}{}",
+            m.correlation,
+            m.mae,
+            if contention == 1.0 {
+                "  <- training platform"
+            } else {
+                ""
+            }
+        )
+        .unwrap();
+    }
+    text.push_str(
+        "(the paper: \"the results are specific to the architecture, platform, and\n\
+         \x20compiler used\" — this quantifies how fast a model decays off-platform)\n",
+    );
+    text
+}
+
+/// Experiment E13 — per-member transferability: is the *suite* model
+/// transferable to each *constituent benchmark*?
+///
+/// The paper classifies each benchmark through the suite tree (Tables II
+/// and IV); this experiment asks the quantitative follow-up: how
+/// accurately does the suite model predict each member's CPI, under the
+/// same acceptance thresholds as Section VI? Benchmarks whose behavior
+/// classes are shared with the rest of the suite should pass easily;
+/// benchmarks with private behavior classes (trained on fewer of "their"
+/// samples) mark the suite model's weakest coverage.
+///
+/// The half-suite training splits, the trees, and every per-member
+/// dataset resolve through the pipeline's artifact store; the member
+/// evaluation itself is the `transfer::matrix` member-level assessment,
+/// the same machinery as E8.
+fn member_transfer(ctx: &PipelineContext) -> String {
+    let mut text = String::from("Per-member transferability of the suite models\n\n");
+    for (base, seed) in [
+        (DatasetSpec::cpu2006(), SEED_SPLIT),
+        (DatasetSpec::omp2001(), SEED_SPLIT + 1),
+    ] {
+        member_table(&mut text, ctx, base, seed);
+    }
+    text
+}
+
+fn member_table(text: &mut String, ctx: &PipelineContext, base: DatasetSpec, seed: u64) {
+    let kind = base.suite;
+    let suite = kind.materialize();
+    // Train on a random half so member evaluations are out-of-sample.
+    let split = SplitSpec::new(base, seed, 0.5);
+    let tree = ctx
+        .tree(&TreeSpec {
+            config: suite_tree_config(split.first_len()),
+            input: DatasetInput::SplitPart(split, SplitPart::First),
+        })
+        .expect("training half fits");
+
+    let members = member_datasets(ctx, kind, 4_000, seed ^ 0xbe9c).expect("members of suite");
+    let rows = member_rows(&tree, &members, &AcceptanceThresholds::default())
+        .expect("non-empty member sets");
+
+    writeln!(
+        text,
+        "{} — suite model ({} leaves) applied to fresh samples of each member:",
+        suite.name(),
+        tree.n_leaves()
+    )
+    .unwrap();
+    writeln!(
+        text,
+        "{:<18} {:>8} {:>8} {:>9} {:>14}",
+        "benchmark", "C", "MAE", "mean CPI", "transferable?"
+    )
+    .unwrap();
+    for row in &rows {
+        writeln!(
+            text,
+            "{:<18} {:>8.4} {:>8.4} {:>9.3} {:>14}",
+            row.benchmark,
+            row.metrics.correlation,
+            row.metrics.mae,
+            row.metrics.mean_actual,
+            if row.transferable { "yes" } else { "NO" }
+        )
+        .unwrap();
+    }
+    if let Some(worst) = hardest_member(&rows) {
+        writeln!(
+            text,
+            "  hardest member: {} (MAE {:.4})\n",
+            worst.benchmark, worst.metrics.mae
+        )
+        .unwrap();
+    }
+}
+
+/// Experiment E14 — input-set sensitivity.
+///
+/// The paper collects CPU2006 data "with their reference dataset" and
+/// OMP2001 with "the medium input set"; input sets change working-set
+/// sizes and therefore memory-hierarchy pressure. This experiment models
+/// smaller/larger input sets by scaling the memory-event densities
+/// (`Suite::with_memory_pressure`) and asks: does a model trained on the
+/// reference inputs transfer to other input sets of the *same* suite?
+fn input_sets(ctx: &PipelineContext) -> String {
+    let reference_spec = DatasetSpec::new(SuiteKind::cpu2006(), 30_000, SEED_CPU2006);
+    let reference = ctx.dataset(&reference_spec).expect("suite generates");
+    let tree = ctx
+        .tree(&TreeSpec::suite_tree(reference_spec))
+        .expect("reference dataset fits");
+    let thresholds = AcceptanceThresholds::default();
+
+    let mut text = String::from(
+        "Input-set sensitivity: CPU2006 model trained on reference inputs,\n\
+         evaluated on scaled-memory-pressure variants of the suite\n\n",
+    );
+    writeln!(
+        text,
+        "{:<22} {:>9} {:>8} {:>8} {:>14}",
+        "input set", "mean CPI", "C", "MAE", "transferable?"
+    )
+    .unwrap();
+    for factor in [0.4, 0.6, 0.8, 1.0, 1.25, 1.5] {
+        let variant =
+            DatasetSpec::new(SuiteKind::cpu2006(), 10_000, SEED_SPLIT).with_memory_pressure(factor);
+        let data = ctx.dataset(&variant).expect("suite generates");
+        let metrics = PredictionMetrics::from_predictions(&tree.predict_all(&data), &data.cpis())
+            .expect("non-empty data");
+        writeln!(
+            text,
+            "{:<22} {:>9.3} {:>8.4} {:>8.4} {:>14}",
+            format!("memory x{factor}"),
+            metrics.mean_actual,
+            metrics.correlation,
+            metrics.mae,
+            if metrics.acceptable(&thresholds) {
+                "yes"
+            } else {
+                "NO"
+            }
+        )
+        .unwrap();
+    }
+
+    // Full Section VI treatment of the most-shrunk input set.
+    let small_spec =
+        DatasetSpec::new(SuiteKind::cpu2006(), 10_000, SEED_SPLIT + 1).with_memory_pressure(0.4);
+    let small = ctx.dataset(&small_spec).expect("suite generates");
+    let report = TransferabilityReport::assess(
+        &tree,
+        &reference,
+        &small,
+        "CPU2006 (reference inputs)",
+        "CPU2006 (memory x0.4)",
+        &TransferConfig::default(),
+    )
+    .expect("datasets large enough");
+    writeln!(text, "\n{}", report.render()).unwrap();
+    text.push_str(
+        "take-away: models transfer across nearby input sets but degrade as the\n\
+         memory-pressure profile leaves the training distribution — input sets are\n\
+         part of the \"platform\" the paper scopes its results to.\n",
+    );
+    text
+}
+
+/// The paper's SPEC CPU2006 sample count (10% of it = its n = 208,373).
+const PAPER_CPU_SAMPLES: usize = 2_083_730;
+/// The paper's SPEC OMP2001 test-set size (m = 135,582) times ten.
+const PAPER_OMP_SAMPLES: usize = 1_355_820;
+
+/// Section VI at the paper's exact scale: a training set of n = 208,373
+/// samples (10% of the SPEC CPU2006 data) and an OMP2001 test set of
+/// m = 135,582, so the t statistics are directly comparable to the
+/// published t = 1.212 (within-suite, accepted) and t = 125.384
+/// (cross-suite, rejected).
+///
+/// This is the heavyweight experiment (~3.4M samples end to end);
+/// everything else uses the 60k-sample configuration. The datasets,
+/// splits, and trees resolve through the pipeline's artifact store, so
+/// a warm rerun goes straight to the statistics.
+fn paper_scale(ctx: &PipelineContext) -> String {
+    let spec = TransferSplitSpec {
+        cpu: DatasetSpec::new(SuiteKind::cpu2006(), PAPER_CPU_SAMPLES, SEED_CPU2006),
+        omp: DatasetSpec::new(SuiteKind::omp2001(), PAPER_OMP_SAMPLES, SEED_OMP2001),
+        seed: SEED_SPLIT,
+        fraction: 0.10,
+    };
+    let split = ctx.transfer_split(&spec).expect("suites generate");
+    let mut text = String::new();
+    // The paper's cross-suite test sets are the other suite's randomly
+    // selected 10% sets (m = 135,582 for OMP2001).
+    writeln!(
+        text,
+        "paper scale: n = {} train samples (paper: 208,373), OMP cross-test m = {} (paper: 135,582)\n",
+        split.cpu_train.len(),
+        split.omp_train.len()
+    )
+    .unwrap();
+
+    let cpu_tree = ctx
+        .tree(&TreeSpec {
+            input: DatasetInput::TransferPart(spec.clone(), TransferPart::CpuTrain),
+            config: suite_tree_config(spec.cpu_train_len()),
+        })
+        .expect("cpu fit");
+    let omp_tree = ctx
+        .tree(&TreeSpec {
+            input: DatasetInput::TransferPart(spec.clone(), TransferPart::OmpTrain),
+            config: suite_tree_config(spec.omp_train_len()),
+        })
+        .expect("omp fit");
+
+    let tconfig = TransferConfig::default();
+    for (tree, train, test, a, b) in [
+        (
+            &cpu_tree,
+            &split.cpu_train,
+            &split.cpu_rest,
+            "CPU2006 (10%)",
+            "CPU2006 (rest)",
+        ),
+        (
+            &cpu_tree,
+            &split.cpu_train,
+            &split.omp_train,
+            "CPU2006 (10%)",
+            "OMP2001 (10%)",
+        ),
+        (
+            &omp_tree,
+            &split.omp_train,
+            &split.omp_rest,
+            "OMP2001 (10%)",
+            "OMP2001 (rest)",
+        ),
+        (
+            &omp_tree,
+            &split.omp_train,
+            &split.cpu_train,
+            "OMP2001 (10%)",
+            "CPU2006 (10%)",
+        ),
+    ] {
+        let report = TransferabilityReport::assess(tree, train, test, a, b, &tconfig)
+            .expect("large datasets");
+        writeln!(text, "{}", report.render()).unwrap();
+    }
+    text.push_str(
+        "paper comparison: within-suite t = 1.212 (accepted); cross-suite t = 125.384\n\
+         (rejected); C = 0.9214 / MAE = 0.0988 within, C = 0.4337 / MAE = 0.3721 across.\n",
+    );
+    text
+}
+
+/// The machine-readable report: one JSON document summarizing every
+/// headline quantity (tree shapes, similarity pairs, transferability
+/// verdicts, baseline comparison).
+///
+/// Every dataset, split, and M5' tree resolves through the pipeline's
+/// artifact store; only the baseline regressors fit directly.
+fn report(ctx: &PipelineContext) -> String {
+    let tree_summary = |tree: &ModelTree, train_mae: f64| {
+        json!({
+            "root_event": tree.root_split_event().map(|e| e.short_name()),
+            "n_leaves": tree.n_leaves(),
+            "n_nodes": tree.n_nodes(),
+            "depth": tree.depth(),
+            "train_mae": train_mae,
+            "event_importance": tree
+                .event_importance()
+                .into_iter()
+                .map(|(e, v)| json!({"event": e.short_name(), "importance": v}))
+                .collect::<Vec<_>>(),
+        })
+    };
+    let (cpu, cpu_tree) = cpu2006_artifacts(ctx);
+    let (omp, omp_tree) = omp2001_artifacts(ctx);
+
+    // Characterization.
+    let cpu_table = ProfileTable::build(&cpu_tree, &cpu);
+    let matrix = SimilarityMatrix::from_table(&cpu_table);
+    let pair = |a: &str, b: &str| {
+        json!({
+            "a": a, "b": b,
+            "distance": matrix.distance_by_name(a, b).expect("benchmarks present"),
+        })
+    };
+
+    // Transferability (paper's 10% protocol).
+    let (split, cpu_small, omp_small) = transfer_artifacts(ctx);
+    let config = TransferConfig::default();
+    let assess = |tree: &ModelTree, train: &Dataset, test: &Dataset, a: &str, b: &str| {
+        let report = TransferabilityReport::assess(tree, train, test, a, b, &config)
+            .expect("datasets large enough");
+        json!({
+            "train": a, "test": b,
+            "transferable": report.transferable(),
+            "hypothesis_transferable": report.hypothesis_transferable(),
+            "accuracy_transferable": report.accuracy_transferable(),
+            "t_datasets": report.hypothesis.cpi_datasets.statistic,
+            "t_predicted": report.hypothesis.cpi_predicted.statistic,
+            "correlation": report.metrics.correlation,
+            "mae": report.metrics.mae,
+        })
+    };
+
+    // Baselines on a 50/50 split.
+    let bsplit = SplitSpec::new(DatasetSpec::cpu2006(), SEED_SPLIT, 0.5);
+    let (btrain, btest) = ctx.split(&bsplit).expect("suite generates");
+    let btree = ctx
+        .tree(&TreeSpec {
+            config: suite_tree_config(bsplit.first_len()),
+            input: DatasetInput::SplitPart(bsplit, SplitPart::First),
+        })
+        .expect("training half fits");
+    let ols = OlsRegressor::fit(&btrain).expect("ols");
+    let cart = RegressionTree::fit(&btrain, CartConfig::default()).expect("cart");
+    let eval = |preds: Vec<f64>| {
+        let m = PredictionMetrics::from_predictions(&preds, &btest.cpis()).expect("metrics");
+        json!({"correlation": m.correlation, "mae": m.mae, "rmse": m.rmse})
+    };
+
+    let report = json!({
+        "paper": "Characterization of SPEC CPU2006 and SPEC OMP2001 (ISPASS 2008)",
+        "seeds": {"cpu2006": SEED_CPU2006, "omp2001": SEED_OMP2001, "split": SEED_SPLIT},
+        "n_samples_per_suite": N_SAMPLES,
+        "figure1_cpu2006_tree": tree_summary(&cpu_tree, cpu_tree.mean_abs_error(&cpu)),
+        "figure2_omp2001_tree": tree_summary(&omp_tree, omp_tree.mean_abs_error(&omp)),
+        "table3_headline_pairs": [
+            pair("456.hmmer", "444.namd"),
+            pair("435.gromacs", "444.namd"),
+            pair("454.calculix", "447.dealII"),
+            pair("429.mcf", "444.namd"),
+            pair("429.mcf", "459.GemsFDTD"),
+            pair("444.namd", "459.GemsFDTD"),
+        ],
+        "section6_transferability": [
+            assess(&cpu_small, &split.cpu_train, &split.cpu_rest, "CPU2006 (10%)", "CPU2006 (rest)"),
+            assess(&cpu_small, &split.cpu_train, &split.omp_rest, "CPU2006 (10%)", "OMP2001"),
+            assess(&omp_small, &split.omp_train, &split.omp_rest, "OMP2001 (10%)", "OMP2001 (rest)"),
+            assess(&omp_small, &split.omp_train, &split.cpu_rest, "OMP2001 (10%)", "CPU2006"),
+        ],
+        "baselines_cpu2006": {
+            "m5_model_tree": eval(btree.predict_all(&btest)),
+            "global_ols": eval(ols.predict_all(&btest)),
+            "cart": eval(cart.predict_all(&btest)),
+        },
+    });
+    serde_json::to_string_pretty(&report).expect("serializable report")
 }

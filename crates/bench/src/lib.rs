@@ -1,13 +1,17 @@
-//! Shared experiment configuration for the table/figure regeneration
-//! binaries.
+//! The paper's experiments and the `results/` files they render.
+//!
+//! [`artifacts::REGISTRY`] holds one entry per experiment: the files it
+//! owns, its cost class and its render function. The `reproduce` binary
+//! (`cargo run --release -p spec-bench --bin reproduce [NAME…]`) is the
+//! one writer of `results/`, and the testkit golden suite checks every
+//! file against the same registry.
 //!
 //! The canonical seeds, sizes, and tree configuration live in the
-//! [`pipeline`] crate's experiment registry and are re-exported here,
-//! so `cargo run -p spec-bench --bin <exp>` regenerates each artifact
-//! byte-identically whether the artifact store is cold or warm. The
-//! helpers below resolve the canonical datasets and headline trees
-//! through a [`PipelineContext`], which is what makes warm reruns of
-//! every experiment skip generation and fitting entirely.
+//! [`pipeline`] crate's experiment registry and are re-exported here, so
+//! each artifact renders byte-identically whether the artifact store is
+//! cold or warm. The helpers below resolve the canonical datasets and
+//! headline trees through a [`PipelineContext`], which is what makes
+//! warm reruns of every experiment skip generation and fitting entirely.
 
 use modeltree::ModelTree;
 use perfcounters::Dataset;
@@ -20,7 +24,7 @@ pub mod artifacts;
 pub use pipeline::{suite_tree_config, N_SAMPLES, SEED_CPU2006, SEED_OMP2001, SEED_SPLIT};
 
 /// The canonical SPEC CPU2006 experiment dataset, generated directly
-/// (no cache). Prefer [`cpu2006_artifacts`] in experiment binaries.
+/// (no cache). Prefer [`cpu2006_artifacts`] in experiment renderers.
 pub fn cpu2006_dataset() -> Dataset {
     DatasetSpec::cpu2006()
         .compute(1)
@@ -28,7 +32,7 @@ pub fn cpu2006_dataset() -> Dataset {
 }
 
 /// Fits the headline tree for a suite dataset (no cache). Prefer the
-/// `*_artifacts` helpers in experiment binaries.
+/// `*_artifacts` helpers in experiment renderers.
 pub fn fit_suite_tree(data: &Dataset) -> ModelTree {
     ModelTree::fit(data, &suite_tree_config(data.len())).expect("suite dataset is non-empty")
 }

@@ -23,7 +23,7 @@
 //!
 //! Everything is **off by default**. Entry points opt in either
 //! programmatically ([`set_enabled`]) or through the environment via
-//! [`ObsSession::from_env`], which every bench bin and the `specrepro`
+//! [`ObsSession::from_env`], which `reproduce` and the `specrepro`
 //! CLI call at startup:
 //!
 //! ```text
@@ -63,6 +63,8 @@
 //! obskit::metrics::reset();
 //! obskit::span::reset();
 //! ```
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod export;
 pub mod metrics;

@@ -18,7 +18,7 @@
 //! truncated file instead of unbounded memory growth.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Hard cap on buffered trace events.
@@ -73,8 +73,15 @@ pub(crate) fn thread_ordinal() -> u64 {
     ORDINAL.with(|o| *o)
 }
 
+/// Locks the trace buffer. A panic while the lock was held cannot leave
+/// the buffer inconsistent — every critical section is one push, one
+/// clear or one read — so a poisoned lock is taken over, not propagated.
+fn buffer() -> MutexGuard<'static, TraceBuffer> {
+    BUFFER.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 pub(crate) fn push(event: TraceEvent) {
-    let mut buffer = BUFFER.lock().expect("trace buffer lock");
+    let mut buffer = buffer();
     if buffer.events.len() >= MAX_EVENTS {
         buffer.dropped += 1;
     } else {
@@ -83,7 +90,7 @@ pub(crate) fn push(event: TraceEvent) {
 }
 
 pub(crate) fn with_buffer<T>(f: impl FnOnce(&TraceBuffer) -> T) -> T {
-    f(&BUFFER.lock().expect("trace buffer lock"))
+    f(&buffer())
 }
 
 /// Number of buffered trace events.
@@ -93,7 +100,7 @@ pub fn event_count() -> usize {
 
 /// Clears the trace buffer (tests and per-command CLI traces).
 pub fn reset() {
-    let mut buffer = BUFFER.lock().expect("trace buffer lock");
+    let mut buffer = buffer();
     buffer.events.clear();
     buffer.dropped = 0;
 }
@@ -219,5 +226,30 @@ pub fn emit(
             let _ = write!(line, " {key}={value}");
         }
         eprintln!("{line}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn buffer_survives_a_poisoned_lock() {
+        let poisoned = std::panic::catch_unwind(|| with_buffer(|_| panic!("poison the buffer")));
+        assert!(poisoned.is_err());
+        assert!(BUFFER.is_poisoned());
+        reset();
+        push(TraceEvent {
+            name: "probe",
+            cat: "test",
+            phase: 'i',
+            ts_us: 0,
+            dur_us: 0,
+            tid: thread_ordinal(),
+            args: String::new(),
+        });
+        assert_eq!(event_count(), 1);
+        reset();
+        assert_eq!(event_count(), 0);
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! The [`spec`] module also hosts the canonical experiment registry
 //! (seeds, sample counts, the headline tree configuration) that all
-//! entry points — bench bins, the CLI, golden-snapshot tests — share.
+//! entry points — `reproduce`, the CLI, golden-snapshot tests — share.
 
 #![warn(missing_docs)]
 
@@ -33,7 +33,6 @@ pub mod chunked;
 pub mod codec;
 pub mod context;
 pub mod fingerprint;
-pub mod output;
 pub mod spec;
 pub mod store;
 

@@ -10,7 +10,7 @@
 //!
 //! The root comes from `SPECREPRO_CACHE_DIR` when set, else
 //! `<system temp>/specrepro-cache` — stable across working directories
-//! so every entry point (bench bins, the CLI, testkit) shares one
+//! so every entry point (`reproduce`, the CLI, testkit) shares one
 //! store. Writes are atomic (temp file + rename), so concurrent
 //! processes never observe torn artifacts; loads check the codec's
 //! container-format marker and integrity hash and evict any file that

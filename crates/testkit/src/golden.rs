@@ -1,63 +1,46 @@
-//! Golden-snapshot framework for the E2–E8 `results/` artifacts.
+//! Byte-for-byte golden checks for the `results/` files.
 //!
-//! Every experiment binary renders its artifact through a pure
-//! `spec_bench::artifacts` function; the checked-in files under
-//! `results/` are the golden copies. [`check_or_bless`] compares a
-//! freshly-rendered artifact **byte for byte** against its golden file,
-//! so any drift in the experiment pipeline — numeric, formatting, or
-//! structural — fails CI with a readable first-difference report.
+//! Every file under `results/` is owned by one entry of
+//! `spec_bench::artifacts::REGISTRY`, and the checked-in copy is its
+//! golden. [`check`] compares a freshly rendered file against its
+//! golden, so any drift in the experiment pipeline — numeric,
+//! formatting, or structural — fails CI with a readable
+//! first-difference report.
 //!
-//! To intentionally update the goldens after a reviewed behavior
-//! change, run the snapshot suite with `TESTKIT_BLESS=1`:
+//! Nothing here writes `results/`: after a reviewed behavior change,
+//! regenerate an entry's files with the one writer,
 //!
 //! ```text
-//! TESTKIT_BLESS=1 cargo test -p testkit --test golden_snapshots
+//! SPECREPRO_CACHE_DIR=$(mktemp -d) cargo run --release -p spec-bench --bin reproduce NAME
 //! ```
 //!
-//! which rewrites the files in place (the diff then shows up in review
-//! like any other change).
+//! and the diff shows up in review like any other change.
 
-use std::path::PathBuf;
+pub use spec_bench::artifacts::results_dir;
 
-/// True when `TESTKIT_BLESS=1` requests golden regeneration.
-pub fn blessing() -> bool {
-    std::env::var("TESTKIT_BLESS").is_ok_and(|v| v == "1")
-}
-
-/// The repository's `results/` directory, resolved relative to this
-/// crate so tests work from any working directory.
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("results")
-}
-
-/// Compares `rendered` byte-for-byte against `results/<name>`, or
-/// rewrites the golden when [`blessing`]. Returns a first-difference
-/// description on mismatch.
+/// Compares `rendered` byte for byte against `results/<file>`, which
+/// registry entry `entry` owns.
 ///
 /// # Errors
 ///
-/// Returns a human-readable description when the golden file is
-/// missing, unreadable, or differs from `rendered`.
-pub fn check_or_bless(name: &str, rendered: &str) -> Result<(), String> {
-    let path = results_dir().join(name);
-    if blessing() {
-        std::fs::write(&path, rendered)
-            .map_err(|e| format!("cannot bless {}: {e}", path.display()))?;
-        return Ok(());
-    }
-    let golden = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read golden {}: {e} (run with TESTKIT_BLESS=1 to create it)",
-            path.display()
-        )
-    })?;
+/// Returns a human-readable description, naming the command that
+/// regenerates the entry, when the golden file is missing, unreadable,
+/// or differs from `rendered`.
+pub fn check(entry: &str, file: &str, rendered: &str) -> Result<(), String> {
+    let path = results_dir().join(file);
+    let regenerate = format!(
+        "if the change is intended, regenerate with \
+         `SPECREPRO_CACHE_DIR=$(mktemp -d) cargo run --release -p spec-bench --bin reproduce {entry}`"
+    );
+    let golden = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read golden {}: {e} ({regenerate})", path.display()))?;
     if golden == rendered {
         return Ok(());
     }
-    Err(first_difference(name, &golden, rendered))
+    Err(format!(
+        "{}\n({regenerate})",
+        first_difference(file, &golden, rendered)
+    ))
 }
 
 /// Builds a readable report of the first differing line between the
@@ -68,18 +51,19 @@ fn first_difference(name: &str, golden: &str, rendered: &str) -> String {
     for (i, (g, r)) in g_lines.iter().zip(&r_lines).enumerate() {
         if g != r {
             return format!(
-                "{name}: line {} differs\n  golden:   {g:?}\n  rendered: {r:?}\n\
-                 (TESTKIT_BLESS=1 regenerates the golden if this change is intended)",
+                "{name}: line {} differs\n  golden:   {g:?}\n  rendered: {r:?}",
                 i + 1
             );
         }
     }
-    format!(
-        "{name}: line counts differ (golden {} vs rendered {}); \
-         common prefix matches (TESTKIT_BLESS=1 regenerates the golden if this change is intended)",
-        g_lines.len(),
-        r_lines.len()
-    )
+    if g_lines.len() != r_lines.len() {
+        return format!(
+            "{name}: line counts differ (golden {} vs rendered {}); common prefix matches",
+            g_lines.len(),
+            r_lines.len()
+        );
+    }
+    format!("{name}: every line matches but the bytes differ (line endings or a final newline)")
 }
 
 #[cfg(test)]
@@ -97,5 +81,7 @@ mod tests {
         assert!(report.contains("line 2"), "{report}");
         let report = first_difference("x.txt", "a\n", "a\nb\n");
         assert!(report.contains("line counts differ"), "{report}");
+        let report = first_difference("x.json", "{}", "{}\n");
+        assert!(report.contains("final newline"), "{report}");
     }
 }

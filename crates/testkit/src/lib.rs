@@ -15,9 +15,9 @@
 //! * [`statref`] — high-precision closed-form and exact-enumeration
 //!   references for the `spec-stats` t-tests, Mann–Whitney U, and
 //!   bootstrap confidence intervals.
-//! * [`golden`] — a byte-for-byte golden-snapshot framework for the
-//!   E2–E8 `results/` artifacts, with a `TESTKIT_BLESS=1` regeneration
-//!   path.
+//! * [`golden`] — a compare-only, byte-for-byte golden check for every
+//!   `results/` file; the `reproduce` binary is the one writer of those
+//!   files.
 //!
 //! # Depth control
 //!
