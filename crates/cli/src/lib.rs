@@ -29,6 +29,8 @@
 //! instead of recomputing; `specrepro cache stats|clear` inspects or
 //! deletes the store.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use characterize::{greedy_subset, kmeans_subset, ProfileTable, SimilarityMatrix};
 use modeltree::{display, k_fold, M5Config, ModelTree};
 use perfcounters::{Dataset, Sample};
@@ -69,22 +71,33 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses `--key value` pairs from an argument list.
+    /// Parses `--key value` pairs from an argument list, accepting only
+    /// the flags named in `accepted` (without the leading `--`).
     ///
     /// # Errors
     ///
-    /// Fails on a dangling flag or a token that is not a flag.
-    pub fn parse(args: &[String]) -> Result<Flags> {
+    /// Fails on a token that is not a flag, a flag not in `accepted`, a
+    /// dangling flag, or a flag given more than once.
+    pub fn parse(args: &[String], accepted: &[&str]) -> Result<Flags> {
         let mut values = HashMap::new();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             let key = arg
                 .strip_prefix("--")
                 .ok_or_else(|| CliError(format!("expected --flag, got {arg:?}")))?;
+            if !accepted.contains(&key) {
+                let listed: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+                return Err(CliError(format!(
+                    "unknown flag --{key} (accepted: {})",
+                    listed.join(" ")
+                )));
+            }
             let value = iter
                 .next()
                 .ok_or_else(|| CliError(format!("flag --{key} is missing a value")))?;
-            values.insert(key.to_owned(), value.clone());
+            if values.insert(key.to_owned(), value.clone()).is_some() {
+                return Err(CliError(format!("flag --{key} is given more than once")));
+            }
         }
         Ok(Flags { values })
     }
@@ -325,10 +338,10 @@ pub fn cmd_fit(flags: &Flags) -> Result<String> {
 
 /// `predict`: apply a model to a dataset, report accuracy metrics.
 ///
-/// `--engine compiled` (the default) compiles the tree into the flat
-/// batch-inference engine — smoothing folded into the leaf models,
-/// columnar parallel prediction under `--threads`. `--engine
-/// interpreted` walks the tree per sample; the two agree within 1e-10.
+/// The tree is compiled into the batch-inference engine (smoothing
+/// folded into the leaf models) and predicts over the dataset's columns
+/// on `--threads` workers. Predictions are bit-identical for every
+/// thread count and to `serve`'s responses for the same rows.
 ///
 /// # Errors
 ///
@@ -336,20 +349,10 @@ pub fn cmd_fit(flags: &Flags) -> Result<String> {
 pub fn cmd_predict(flags: &Flags) -> Result<String> {
     let tree = read_model(flags.required("model")?)?;
     let data = read_dataset(flags.required("data")?)?;
-    let predictions = match flags.optional("engine").unwrap_or("compiled") {
-        "compiled" => tree
-            .compile()
-            .with_n_threads(parse_threads(flags)?)
-            .predict_batch(&data),
-        "interpreted" => (0..data.len())
-            .map(|i| tree.predict(&data.sample(i)))
-            .collect(),
-        other => {
-            return Err(CliError(format!(
-                "unknown --engine {other:?} (expected compiled or interpreted)"
-            )))
-        }
-    };
+    let predictions = tree
+        .compile()
+        .with_n_threads(parse_threads(flags)?)
+        .predict_batch(&data);
     if let Some(out) = flags.optional("out") {
         let mut text = String::from("predicted,actual\n");
         for (p, a) in predictions.iter().zip(data.cpis()) {
@@ -1030,11 +1033,11 @@ USAGE:
                      [--threads T]
   specrepro fit      --data FILE [--out MODEL.json] [--min-leaf N] [--sd-fraction F]
                      [--print summary|tree|models|importance|dot] [--threads T]
-  specrepro predict  --model MODEL.json --data FILE [--out PRED.csv]
-                     [--engine compiled|interpreted] [--threads T]
+  specrepro predict  --model MODEL.json --data FILE [--out PRED.csv] [--threads T]
   specrepro classify --model MODEL.json --data FILE
   specrepro transfer --model MODEL.json --train FILE --test FILE
   specrepro subset   --model MODEL.json --data FILE [--k N] [--method greedy|kmeans]
+                     [--seed S]
   specrepro similar  --model MODEL.json --data FILE [--pairs N]
   specrepro explain  --model MODEL.json --data FILE [--row N]
   specrepro stats    --data FILE
@@ -1057,8 +1060,10 @@ registry; `specrepro suite list` prints every registered suite with its
 generation, environment, and benchmark count.
 
 Dataset files: .csv, .arff (WEKA), or .json by extension.
---threads parallelizes fitting and generation. Fitted trees and
-generated datasets are bit-identical for any thread count.
+--threads parallelizes fitting, generation, and prediction. Fitted
+trees, generated datasets, and predictions are bit-identical for any
+thread count. A flag a command does not list above, or a flag given
+twice, is an error.
 
 generate and fit resolve through a content-addressed artifact store
 (SPECREPRO_CACHE_DIR when set, else <system temp>/specrepro-cache):
@@ -1104,12 +1109,36 @@ events — even when the wrapped command fails. Every command also honors
 SPECREPRO_TRACE_OUT=FILE, SPECREPRO_METRICS_OUT=FILE, and
 SPECREPRO_FLIGHT_OUT=FILE to capture the same telemetry to files.";
 
+/// A `--flag value` subcommand: its name, the flags it accepts (as
+/// listed in [`USAGE`], space-separated, without the leading `--`), and
+/// its body.
+type Command = (&'static str, &'static str, fn(&Flags) -> Result<String>);
+
+/// Every `--flag value` subcommand [`run`] dispatches.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("generate", "suite out samples seed threads", cmd_generate),
+    ("fit", "data out min-leaf sd-fraction print threads", cmd_fit),
+    ("predict", "model data out threads", cmd_predict),
+    ("classify", "model data", cmd_classify),
+    ("transfer", "model train test", cmd_transfer),
+    ("subset", "model data k method seed", cmd_subset),
+    ("similar", "model data pairs", cmd_similar),
+    ("explain", "model data row", cmd_explain),
+    ("stats", "data", cmd_stats),
+    ("crossval", "data folds min-leaf seed threads", cmd_crossval),
+    ("serve", "model suite name addr window-us batch-rows queue-rows max-conns p99-ms \
+               trace-sample", cmd_serve),
+    ("stream", "out suite hosts intervals seed shards threads chunk-rows fault-seed \
+                window-rows stride min-leaf", cmd_stream),
+];
+
 /// Dispatches a full argument vector (without the program name).
 ///
 /// # Errors
 ///
-/// Returns a printable error for unknown commands or any command
-/// failure.
+/// Returns a printable error for unknown commands, flags a command does
+/// not accept, or any command failure.
 pub fn run(args: &[String]) -> Result<String> {
     let (command, rest) = args
         .split_first()
@@ -1117,38 +1146,21 @@ pub fn run(args: &[String]) -> Result<String> {
     // `suite`, `cache`, `trace`, `metrics`, and `flight` take
     // positional arguments, which `Flags::parse` rejects, so they
     // dispatch before flag parsing.
-    if command == "suite" {
-        return cmd_suite(rest);
-    }
-    if command == "cache" {
-        return cmd_cache(rest);
-    }
-    if command == "trace" {
-        return cmd_trace(rest);
-    }
-    if command == "metrics" {
-        return cmd_metrics(rest);
-    }
-    if command == "flight" {
-        return cmd_flight(rest);
-    }
-    let flags = Flags::parse(rest)?;
     match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "fit" => cmd_fit(&flags),
-        "predict" => cmd_predict(&flags),
-        "classify" => cmd_classify(&flags),
-        "transfer" => cmd_transfer(&flags),
-        "subset" => cmd_subset(&flags),
-        "similar" => cmd_similar(&flags),
-        "explain" => cmd_explain(&flags),
-        "stats" => cmd_stats(&flags),
-        "crossval" => cmd_crossval(&flags),
-        "serve" => cmd_serve(&flags),
-        "stream" => cmd_stream(&flags),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
-        other => Err(CliError(format!("unknown command {other:?}\n\n{USAGE}"))),
+        "suite" => return cmd_suite(rest),
+        "cache" => return cmd_cache(rest),
+        "trace" => return cmd_trace(rest),
+        "metrics" => return cmd_metrics(rest),
+        "flight" => return cmd_flight(rest),
+        "help" | "--help" | "-h" => return Ok(USAGE.to_owned()),
+        _ => {}
     }
+    let (_, accepted, body) = COMMANDS
+        .iter()
+        .find(|(name, ..)| name == command)
+        .ok_or_else(|| CliError(format!("unknown command {command:?}\n\n{USAGE}")))?;
+    let accepted: Vec<&str> = accepted.split_whitespace().collect();
+    body(&Flags::parse(rest, &accepted)?)
 }
 
 #[cfg(test)]
@@ -1161,7 +1173,8 @@ mod tests {
 
     #[test]
     fn flags_parse_pairs() {
-        let f = Flags::parse(&argv(&["--suite", "cpu2006", "--samples", "100"])).unwrap();
+        let args = argv(&["--suite", "cpu2006", "--samples", "100"]);
+        let f = Flags::parse(&args, &["suite", "samples"]).unwrap();
         assert_eq!(f.required("suite").unwrap(), "cpu2006");
         assert_eq!(f.parsed_or::<usize>("samples", 0).unwrap(), 100);
         assert_eq!(f.parsed_or::<usize>("missing", 7).unwrap(), 7);
@@ -1170,10 +1183,91 @@ mod tests {
 
     #[test]
     fn flags_reject_malformed() {
-        assert!(Flags::parse(&argv(&["positional"])).is_err());
-        assert!(Flags::parse(&argv(&["--dangling"])).is_err());
-        let f = Flags::parse(&argv(&["--samples", "notanumber"])).unwrap();
+        assert!(Flags::parse(&argv(&["positional"]), &[]).is_err());
+        assert!(Flags::parse(&argv(&["--dangling"]), &["dangling"]).is_err());
+        let f = Flags::parse(&argv(&["--samples", "notanumber"]), &["samples"]).unwrap();
         assert!(f.parsed_or::<usize>("samples", 0).is_err());
+    }
+
+    #[test]
+    fn flags_reject_unknown_and_repeated_flags() {
+        let err = Flags::parse(&argv(&["--thread", "4"]), &["threads"]).unwrap_err();
+        assert!(err.0.contains("unknown flag --thread "), "{err}");
+        assert!(err.0.contains("accepted: --threads"), "{err}");
+        let err = Flags::parse(&argv(&["--k", "3", "--k", "3"]), &["k"]).unwrap_err();
+        assert!(err.0.contains("--k is given more than once"), "{err}");
+        // Through the dispatcher, before any file is read.
+        let err = run(&argv(&[
+            "predict", "--model", "m.json", "--data", "d.csv", "--thread", "4",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("unknown flag --thread "), "{err}");
+        let err = run(&argv(&["fit", "--data", "a.csv", "--data", "b.csv"])).unwrap_err();
+        assert!(err.0.contains("--data is given more than once"), "{err}");
+    }
+
+    #[test]
+    fn predict_rejects_the_engine_flag() {
+        let err = run(&argv(&[
+            "predict",
+            "--model",
+            "/nonexistent/model.json",
+            "--data",
+            "/nonexistent/data.csv",
+            "--engine",
+            "interpreted",
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("unknown flag --engine"), "{err}");
+    }
+
+    /// The synopsis block of [`USAGE`] as `(command, flags)` pairs: each
+    /// `specrepro <command>` line with its continuation lines.
+    fn usage_synopses() -> Vec<(String, Vec<String>)> {
+        let block = USAGE.split("USAGE:\n").nth(1).unwrap();
+        let block = block.split("\n\n").next().unwrap();
+        let mut synopses: Vec<(String, Vec<String>)> = Vec::new();
+        for line in block.lines().map(str::trim) {
+            if let Some(rest) = line.strip_prefix("specrepro ") {
+                let name = rest.split_whitespace().next().unwrap();
+                synopses.push((name.to_owned(), Vec::new()));
+            }
+            let flags = &mut synopses.last_mut().unwrap().1;
+            for token in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if let Some(flag) = token.strip_prefix("--") {
+                    flags.push(flag.to_owned());
+                }
+            }
+        }
+        synopses
+    }
+
+    #[test]
+    fn every_usage_flag_is_accepted_and_every_accepted_flag_is_listed() {
+        let synopses = usage_synopses();
+        for (name, accepted, _) in COMMANDS {
+            let (_, listed) = synopses
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap_or_else(|| panic!("{name} is missing from USAGE"));
+            let accepted: Vec<&str> = accepted.split_whitespace().collect();
+            for flag in listed {
+                let args = argv(&[&format!("--{flag}"), "1"]);
+                assert!(
+                    Flags::parse(&args, &accepted).is_ok(),
+                    "{name}: USAGE lists --{flag}, which is rejected"
+                );
+            }
+            for flag in &accepted {
+                assert!(
+                    listed.iter().any(|f| f == flag),
+                    "{name}: --{flag} is accepted but not in USAGE"
+                );
+            }
+        }
+        assert!(synopses
+            .iter()
+            .any(|(n, f)| n == "predict" && !f.is_empty()));
     }
 
     #[test]
@@ -1186,7 +1280,11 @@ mod tests {
 
     #[test]
     fn unknown_suite_rejected() {
-        let f = Flags::parse(&argv(&["--suite", "spec95", "--out", "/tmp/x.csv"])).unwrap();
+        let f = Flags::parse(
+            &argv(&["--suite", "spec95", "--out", "/tmp/x.csv"]),
+            &["suite", "out"],
+        )
+        .unwrap();
         let err = cmd_generate(&f).unwrap_err();
         // The error enumerates the live registry, not a hardcoded pair.
         for kind in SuiteKind::all() {
@@ -1209,24 +1307,22 @@ mod tests {
 
     #[test]
     fn serve_rejects_conflicting_model_sources() {
-        let f = Flags::parse(&argv(&[
-            "--model",
-            "/nonexistent/model.json",
-            "--suite",
-            "cpu2006",
-        ]))
+        let f = Flags::parse(
+            &argv(&["--model", "/nonexistent/model.json", "--suite", "cpu2006"]),
+            &["model", "suite"],
+        )
         .unwrap();
         let err = cmd_serve(&f).unwrap_err();
         assert!(err.0.contains("mutually exclusive"), "{err}");
-        let f = Flags::parse(&argv(&["--suite", "spec95"])).unwrap();
+        let f = Flags::parse(&argv(&["--suite", "spec95"]), &["suite"]).unwrap();
         assert!(cmd_serve(&f).is_err());
     }
 
     #[test]
     fn zero_threads_rejected() {
-        let f = Flags::parse(&argv(&["--threads", "0"])).unwrap();
+        let f = Flags::parse(&argv(&["--threads", "0"]), &["threads"]).unwrap();
         assert!(parse_threads(&f).is_err());
-        let f = Flags::parse(&argv(&["--threads", "4"])).unwrap();
+        let f = Flags::parse(&argv(&["--threads", "4"]), &["threads"]).unwrap();
         assert_eq!(parse_threads(&f).unwrap(), 4);
         assert_eq!(parse_threads(&Flags::default()).unwrap(), 1);
     }

@@ -238,7 +238,7 @@ fn subset_k_bounds_checked() {
 
 #[test]
 fn flags_reachable_from_integration() {
-    let f = Flags::parse(&argv(&["--k", "3"])).unwrap();
+    let f = Flags::parse(&argv(&["--k", "3"]), &["k"]).unwrap();
     assert_eq!(f.parsed_or::<usize>("k", 0).unwrap(), 3);
 }
 

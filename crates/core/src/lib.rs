@@ -16,8 +16,9 @@
 //! * **Pruning** ([`tree`]): bottom-up subtree replacement whenever a
 //!   node's own linear model has no worse adjusted error than its
 //!   subtree.
-//! * **Smoothing** ([`tree`]): Quinlan's leaf-to-root prediction blending
-//!   `p' = (n p + k q) / (n + k)`.
+//! * **Smoothing and prediction** ([`compiled`]): Quinlan's leaf-to-root
+//!   prediction blending `p' = (n p + k q) / (n + k)`, folded at compile
+//!   time into one linear model per leaf.
 //! * **Rendering** ([`display`]): WEKA-style tree dumps and the
 //!   paper-style leaf equations (e.g. `LM1: CPI = 0.53 + 4.73*L1DMiss +
 //!   ...`).
@@ -41,7 +42,7 @@
 //! let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
 //! let mut probe = Sample::zeros(0.0);
 //! probe.set(EventId::DtlbMiss, 3e-4);
-//! assert!(tree.predict(&probe) > 1.0);
+//! assert!(tree.compile().predict(&probe) > 1.0);
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -1,5 +1,6 @@
-//! The M5' model tree: growing, pruning, smoothing, prediction, and
-//! sample classification.
+//! The M5' model tree: growing, pruning, explanation, and sample
+//! classification. Prediction, with Quinlan smoothing folded into the
+//! leaves, is the compiled engine's job ([`crate::compiled`]).
 
 use crate::config::M5Config;
 use crate::linreg::{adjusted_error_factor, fit_node_model, LinearModel};
@@ -532,53 +533,14 @@ impl ModelTree {
         }
     }
 
-    /// Predicts CPI for a sample, applying Quinlan smoothing along the
-    /// root path when enabled in the configuration.
-    pub fn predict(&self, sample: &Sample) -> f64 {
-        // Collect the root-to-leaf path.
-        let mut path = Vec::new();
-        let mut id = self.root;
-        loop {
-            path.push(id);
-            match self.node(id).kind {
-                NodeKind::Leaf { .. } => break,
-                NodeKind::Split {
-                    event,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    id = if sample.get(event) <= threshold {
-                        left
-                    } else {
-                        right
-                    };
-                }
-            }
-        }
-        // The loop breaks on a leaf, which is the path's last node.
-        let leaf = id;
-        let mut p = self.node(leaf).model.predict(sample);
-        if !self.config.smoothing || path.len() == 1 {
-            return p;
-        }
-        // Walk back up: p' = (n p + k q) / (n + k), where n is the sample
-        // count of the lower node and q the prediction of the ancestor's
-        // model.
-        let k = self.config.smoothing_k;
-        for w in path.windows(2).rev() {
-            let (ancestor, lower) = (w[0], w[1]);
-            let n = self.node(lower).n_samples as f64;
-            let q = self.node(ancestor).model.predict(sample);
-            p = (n * p + k * q) / (n + k);
-        }
-        p
-    }
-
     /// Explains one prediction: the decision path taken, the leaf model
     /// applied, and the resulting prediction — the interpretability that
     /// makes model trees "particularly suitable ... for workload
-    /// characterization" in the paper's methodology.
+    /// characterization" in the paper's methodology. The prediction is
+    /// the compiled engine's ([`CompiledTree::predict`]), so it matches
+    /// every batch prediction of this tree bit for bit.
+    ///
+    /// [`CompiledTree::predict`]: crate::compiled::CompiledTree::predict
     pub fn explain(&self, sample: &Sample) -> Explanation {
         let mut path = Vec::new();
         let mut id = self.root;
@@ -592,7 +554,7 @@ impl ModelTree {
                         lm_index,
                         leaf_model,
                         raw_prediction,
-                        prediction: self.predict(sample),
+                        prediction: self.compile().predict(sample),
                     };
                 }
                 NodeKind::Split {
@@ -617,21 +579,22 @@ impl ModelTree {
 
     /// Predicts CPI for every sample of a dataset.
     ///
-    /// The batch path compiles the tree into a [`CompiledTree`] engine
-    /// (smoothing folded into flat leaf models) and predicts over the
-    /// dataset's columnar cache with [`M5Config::n_threads`] workers.
-    /// Results agree with per-sample [`ModelTree::predict`] within
-    /// `1e-10` (bit-identical when smoothing is off) and are
-    /// bit-identical across thread counts. Callers running many batches
-    /// against the same tree should [`ModelTree::compile`] once and
-    /// reuse the engine.
+    /// Compiles the tree into a [`CompiledTree`] engine (smoothing
+    /// folded into flat leaf models) and predicts over the dataset's
+    /// columns with [`M5Config::n_threads`] workers. Results equal the
+    /// engine's per-row [`CompiledTree::predict`] bit for bit, for every
+    /// thread count. Callers running many batches against the same tree
+    /// should [`ModelTree::compile`] once and reuse the engine.
     ///
     /// [`CompiledTree`]: crate::compiled::CompiledTree
+    /// [`CompiledTree::predict`]: crate::compiled::CompiledTree::predict
     pub fn predict_all(&self, data: &Dataset) -> Vec<f64> {
         self.compile().predict_batch(data)
     }
 
-    /// Mean absolute error over a dataset (0 for an empty set).
+    /// Mean absolute error over a dataset (0 for an empty set): the
+    /// [`ModelTree::predict_all`] errors summed serially in row order,
+    /// so the value is the same for every thread count.
     pub fn mean_abs_error(&self, data: &Dataset) -> f64 {
         if data.is_empty() {
             return 0.0;
@@ -1048,6 +1011,7 @@ mod tests {
         let ds = regime_dataset(2000, 7);
         let smoothed = ModelTree::fit(&ds, &M5Config::default()).unwrap();
         let raw = ModelTree::fit(&ds, &M5Config::default().with_smoothing(false)).unwrap();
+        let (smoothed, raw) = (smoothed.compile(), raw.compile());
         let test = regime_dataset(200, 100);
         let mut any_diff = false;
         for i in 0..test.len() {
@@ -1110,27 +1074,28 @@ mod tests {
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
         assert_eq!(tree.n_leaves(), 1);
         let probe = Sample::zeros(0.0);
-        assert!((tree.predict(&probe) - 1.5).abs() < 1e-9);
+        assert!((tree.compile().predict(&probe) - 1.5).abs() < 1e-9);
     }
 
     #[test]
     fn predict_all_matches_pointwise() {
         let ds = regime_dataset(200, 13);
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
-        // The batch path runs the compiled engine (smoothing folded into
-        // the leaves), which reassociates the smoothing arithmetic; the
-        // contract is 1e-10 agreement with the interpreter.
+        // The batch path runs the compiled engine, whose per-row
+        // prediction is its oracle bit for bit.
+        let engine = tree.compile();
         let all = tree.predict_all(&ds);
         for (i, &p) in all.iter().enumerate() {
-            let q = tree.predict(&ds.sample(i));
-            assert!((p - q).abs() < 1e-10, "sample {i}: {p} vs {q}");
+            assert_eq!(p.to_bits(), engine.predict(&ds.sample(i)).to_bits());
         }
         // Without smoothing the folded model IS the leaf model and the
-        // batch path is bit-identical.
+        // batch path is bit-identical to it.
         let raw = ModelTree::fit(&ds, &M5Config::default().with_smoothing(false)).unwrap();
         let all = raw.predict_all(&ds);
         for (i, &p) in all.iter().enumerate() {
-            assert_eq!(p.to_bits(), raw.predict(&ds.sample(i)).to_bits());
+            let s = ds.sample(i);
+            let leaf = raw.node(raw.leaf_of(&s)).model().predict(&s);
+            assert_eq!(p.to_bits(), leaf.to_bits());
         }
     }
 
@@ -1169,9 +1134,10 @@ mod tests {
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
         let json = serde_json::to_string(&tree).unwrap();
         let back: ModelTree = serde_json::from_str(&json).unwrap();
+        let (back, tree) = (back.compile(), tree.compile());
         for i in 0..20 {
             let s = ds.sample(i);
-            assert!((back.predict(&s) - tree.predict(&s)).abs() < 1e-9);
+            assert_eq!(back.predict(&s).to_bits(), tree.predict(&s).to_bits());
         }
     }
 
@@ -1179,11 +1145,12 @@ mod tests {
     fn explain_reconstructs_prediction_and_path() {
         let ds = regime_dataset(1500, 18);
         let tree = ModelTree::fit(&ds, &M5Config::default()).unwrap();
+        let engine = tree.compile();
         for i in (0..ds.len()).step_by(113) {
             let s = ds.sample(i);
             let ex = tree.explain(&s);
             assert_eq!(ex.lm_index, tree.classify(&s));
-            assert_eq!(ex.prediction, tree.predict(&s));
+            assert_eq!(ex.prediction.to_bits(), engine.predict(&s).to_bits());
             // Every path step must be consistent with the sample.
             for step in &ex.path {
                 assert_eq!(step.went_left, step.value <= step.threshold);

@@ -49,8 +49,9 @@ proptest! {
         prop_assert_eq!(leaf_total, ds.len());
 
         // Predictions are finite everywhere on the training set.
+        let engine = tree.compile();
         for i in 0..ds.len() {
-            let p = tree.predict(&ds.sample(i));
+            let p = engine.predict(&ds.sample(i));
             prop_assert!(p.is_finite());
         }
     }
@@ -112,6 +113,7 @@ proptest! {
         let raw = ModelTree::fit(&ds, &M5Config::default().with_smoothing(false)).unwrap();
         let spread = ds.cpis().iter().cloned().fold(f64::NEG_INFINITY, f64::max)
             - ds.cpis().iter().cloned().fold(f64::INFINITY, f64::min);
+        let (smoothed, raw) = (smoothed.compile(), raw.compile());
         for i in (0..ds.len()).step_by(11) {
             let s = ds.sample(i);
             let d = (smoothed.predict(&s) - raw.predict(&s)).abs();

@@ -30,22 +30,6 @@ pub fn variance(xs: &[f64]) -> Result<f64> {
     Ok(ss / (xs.len() - 1) as f64)
 }
 
-/// Population variance (`n` denominator), as used by the M5' standard
-/// deviation reduction criterion where the biased estimator is
-/// conventional.
-///
-/// # Errors
-///
-/// [`MathError::InsufficientData`] if `xs` is empty.
-pub fn variance_population(xs: &[f64]) -> Result<f64> {
-    if xs.is_empty() {
-        return Err(MathError::InsufficientData);
-    }
-    let m = mean(xs)?;
-    let ss = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>();
-    Ok(ss / xs.len() as f64)
-}
-
 /// Unbiased sample standard deviation.
 ///
 /// # Errors
@@ -53,15 +37,6 @@ pub fn variance_population(xs: &[f64]) -> Result<f64> {
 /// [`MathError::InsufficientData`] if fewer than 2 samples.
 pub fn std_dev(xs: &[f64]) -> Result<f64> {
     variance(xs).map(f64::sqrt)
-}
-
-/// Population standard deviation.
-///
-/// # Errors
-///
-/// [`MathError::InsufficientData`] if `xs` is empty.
-pub fn std_dev_population(xs: &[f64]) -> Result<f64> {
-    variance_population(xs).map(f64::sqrt)
 }
 
 /// Sample covariance (unbiased, `n - 1` denominator).
@@ -245,14 +220,12 @@ mod tests {
         assert!((mean(&xs).unwrap() - 5.0).abs() < 1e-12);
         // Sum of squared deviations = 32, n-1 = 7.
         assert!((variance(&xs).unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((variance_population(&xs).unwrap() - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_inputs_are_errors() {
         assert!(mean(&[]).is_err());
         assert!(variance(&[1.0]).is_err());
-        assert!(variance_population(&[]).is_err());
         assert!(median(&[]).is_err());
         assert!(Summary::from_slice(&[]).is_err());
     }

@@ -146,17 +146,6 @@ pub fn lognormal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     normal(rng, mu, sigma).exp()
 }
 
-/// Draws an exponential variate with the given rate (`lambda > 0`).
-///
-/// # Panics
-///
-/// Panics in debug builds if `rate <= 0`.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    debug_assert!(rate > 0.0, "rate must be positive");
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    -u.ln() / rate
-}
-
 /// Samples an index from a discrete distribution given by non-negative
 /// weights. Weights need not be normalized. They are read twice (sum,
 /// then pick), so any cloneable iterator serves and no slice need be
@@ -322,13 +311,6 @@ mod tests {
     fn lognormal_is_positive() {
         let xs = draws(10_000, 5, |r| lognormal(r, -2.0, 0.7));
         assert!(xs.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let xs = draws(50_000, 6, |r| exponential(r, 4.0));
-        assert!((mean(&xs).unwrap() - 0.25).abs() < 0.01);
-        assert!(xs.iter().all(|&x| x >= 0.0));
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub fn solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
 ///
 /// * [`MathError::ShapeMismatch`] if `a` is not square.
 /// * [`MathError::Singular`] if `a` is not positive definite.
-pub fn cholesky(a: &Matrix) -> Result<Matrix> {
+fn cholesky(a: &Matrix) -> Result<Matrix> {
     let n = a.rows();
     if a.cols() != n {
         return Err(MathError::ShapeMismatch(format!(
@@ -137,8 +137,8 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix> {
 ///
 /// # Errors
 ///
-/// Propagates errors from [`cholesky`], plus [`MathError::ShapeMismatch`]
-/// for a wrong-length right-hand side.
+/// Propagates the Cholesky factorization's errors, plus
+/// [`MathError::ShapeMismatch`] for a wrong-length right-hand side.
 pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     let n = a.rows();
     if b.len() != n {

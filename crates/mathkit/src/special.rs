@@ -132,7 +132,7 @@ fn beta_cont_frac(a: f64, b: f64, x: f64) -> f64 {
 /// # Errors
 ///
 /// Returns [`MathError::Domain`] if `a <= 0` or `x < 0`.
-pub fn gamma_p(a: f64, x: f64) -> Result<f64> {
+fn gamma_p(a: f64, x: f64) -> Result<f64> {
     if a <= 0.0 || x < 0.0 {
         return Err(MathError::Domain(format!(
             "gamma_p requires a > 0 and x >= 0, got a = {a}, x = {x}"
@@ -153,7 +153,7 @@ pub fn gamma_p(a: f64, x: f64) -> Result<f64> {
 /// # Errors
 ///
 /// Returns [`MathError::Domain`] if `a <= 0` or `x < 0`.
-pub fn gamma_q(a: f64, x: f64) -> Result<f64> {
+pub(crate) fn gamma_q(a: f64, x: f64) -> Result<f64> {
     if a <= 0.0 || x < 0.0 {
         return Err(MathError::Domain(format!(
             "gamma_q requires a > 0 and x >= 0, got a = {a}, x = {x}"

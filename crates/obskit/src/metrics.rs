@@ -32,7 +32,7 @@ pub enum Kind {
     Gauge,
     /// Last-written `f64`, stored as its IEEE-754 bit pattern so the
     /// backing cell stays a plain `AtomicU64`. Written via
-    /// [`gauge_set_f64`], read via [`value_f64`].
+    /// [`gauge_set_f64`], read through [`snapshot`].
     FloatGauge,
 }
 
@@ -172,7 +172,7 @@ pub fn bucket_of(value: u64) -> usize {
 }
 
 /// The inclusive upper bound of a bucket (`u64::MAX` for the last).
-pub fn bucket_upper_bound(bucket: usize) -> u64 {
+fn bucket_upper_bound(bucket: usize) -> u64 {
     if bucket == 0 {
         0
     } else if bucket >= 64 {
@@ -242,7 +242,7 @@ pub fn gauge_set_f64(metric: Metric, value: f64) {
 
 /// The current value of a [`Kind::FloatGauge`] slot (0.0 when never
 /// written — the zero bit pattern is positive zero).
-pub fn value_f64(metric: Metric) -> f64 {
+fn value_f64(metric: Metric) -> f64 {
     f64::from_bits(VALUES[metric as usize].load(Ordering::Relaxed))
 }
 

@@ -114,7 +114,7 @@ pub struct MonitorSet {
 /// The value at `quantile` of a histogram snapshot, as the inclusive
 /// upper bound of the bucket containing that rank; `None` for empty
 /// histograms.
-pub fn hist_quantile(hist: &HistSnapshot, quantile: f64) -> Option<u64> {
+fn hist_quantile(hist: &HistSnapshot, quantile: f64) -> Option<u64> {
     if hist.count == 0 {
         return None;
     }

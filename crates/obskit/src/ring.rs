@@ -307,7 +307,7 @@ pub fn write_dump(path: impl AsRef<Path>) -> std::io::Result<()> {
 
 /// Where automatic dumps land: `SPECREPRO_FLIGHT_OUT` if set, else
 /// `specrepro-flight.json` in the system temp directory.
-pub fn autodump_path() -> PathBuf {
+fn autodump_path() -> PathBuf {
     match std::env::var("SPECREPRO_FLIGHT_OUT") {
         Ok(path) if !path.is_empty() => PathBuf::from(path),
         _ => std::env::temp_dir().join("specrepro-flight.json"),
@@ -317,9 +317,10 @@ pub fn autodump_path() -> PathBuf {
 /// Minimum spacing between automatic dumps.
 const AUTODUMP_MIN_INTERVAL_US: u64 = 5_000_000;
 
-/// Dumps the ring to [`autodump_path`] in response to a fault
-/// (load-shed burst, swap failure), rate-limited to one dump per
-/// five seconds so a sustained storm produces one post-mortem file,
+/// Dumps the ring to `SPECREPRO_FLIGHT_OUT` (else
+/// `specrepro-flight.json` in the system temp directory) in response
+/// to a fault (load-shed burst, swap failure), rate-limited to one dump
+/// per five seconds so a sustained storm produces one post-mortem file,
 /// not disk churn. Returns the path when a dump was written.
 pub fn autodump(reason: &str) -> Option<PathBuf> {
     if !crate::ring_enabled() {

@@ -22,6 +22,7 @@ use crate::fingerprint::{Fingerprint, SCHEMA_VERSION};
 use modeltree::ModelTree;
 use perfcounters::Dataset;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable overriding the store root.
 pub const CACHE_DIR_ENV: &str = "SPECREPRO_CACHE_DIR";
@@ -109,14 +110,26 @@ impl ArtifactStore {
     }
 
     /// Writes `bytes` under `key`, atomically (temp file + rename).
+    /// Every call writes its own temp file — the name carries the
+    /// process id and a process-wide sequence number — so two writers
+    /// of one key, threads or processes, never truncate each other's
+    /// file and each rename publishes a complete artifact.
     /// Best-effort: an unwritable cache degrades to recompute-always,
     /// so I/O failures surface as `Err` for logging but are safe to
     /// ignore.
     fn put(&self, kind: ArtifactKind, key: Fingerprint, bytes: &[u8]) -> std::io::Result<()> {
+        // Only uniqueness matters: `fetch_add` hands every call its own
+        // value under any ordering, and the counter publishes no data.
+        static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.path_for(kind, key);
         let dir = path.parent().expect("artifact path has a parent");
         std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!(".{}.tmp.{}", key.to_hex(), std::process::id()));
+        let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!(
+            ".{}.tmp.{}.{seq}",
+            key.to_hex(),
+            std::process::id()
+        ));
         std::fs::write(&tmp, bytes)?;
         match std::fs::rename(&tmp, &path) {
             Ok(()) => {
@@ -250,7 +263,7 @@ impl ArtifactStore {
 }
 
 /// The environment-selected store root (see [`ArtifactStore::from_env`]).
-pub fn default_root() -> PathBuf {
+fn default_root() -> PathBuf {
     match std::env::var(CACHE_DIR_ENV) {
         Ok(dir) if !dir.is_empty() => PathBuf::from(dir),
         _ => std::env::temp_dir().join("specrepro-cache"),
@@ -296,6 +309,44 @@ mod tests {
         assert!(matches!(store.load_dataset(key("b")), Err(None)));
         store.clear().unwrap();
         assert!(store.load_dataset(k).is_err());
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_publish_a_whole_artifact() {
+        let store = temp_store("race");
+        let k = key("race");
+        let mut data = Dataset::new();
+        let l = data.add_benchmark("bench");
+        for i in 0..20_000 {
+            data.push(Sample::zeros(i as f64), l);
+        }
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        store.store_dataset(k, &data)
+                    })
+                })
+                .collect();
+            for handle in handles {
+                handle.join().unwrap().unwrap();
+            }
+        });
+        assert_eq!(store.load_dataset(k).unwrap(), data);
+        let dir = store.path_for(ArtifactKind::Dataset, k);
+        let leftovers: Vec<_> = std::fs::read_dir(dir.parent().unwrap())
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.contains(".tmp."))
+            .collect();
+        assert!(
+            leftovers.is_empty(),
+            "temp files left behind: {leftovers:?}"
+        );
+        let _ = store.clear();
     }
 
     #[test]

@@ -169,9 +169,14 @@ pub fn windowed_refit<R: Read + Seek>(
 /// Scores a window's tree on the rows one stride past the window — the
 /// data the *next* refit will train on, so a rising MAE here is drift
 /// announcing itself before it lands in a model. `None` when no rows
-/// follow the window. Always computed (the value is part of the
-/// returned fit, telemetry on or off), so the determinism contract is
-/// trivially preserved.
+/// follow the window. The tree is compiled once and the stride scored
+/// with [`CompiledTree::predict_batch`] over the window's columns; the
+/// absolute errors are summed serially in row order, so the MAE is the
+/// same for every engine thread count. Always computed (the value is
+/// part of the returned fit, telemetry on or off), so the determinism
+/// contract is trivially preserved.
+///
+/// [`CompiledTree::predict_batch`]: modeltree::CompiledTree::predict_batch
 ///
 /// # Errors
 ///
@@ -188,14 +193,7 @@ pub fn holdout_eval<R: Read + Seek>(
         return Ok(None);
     }
     let data = reader.window_dataset(rows.clone())?;
-    // The interpreted tree on a row view, not `predict_batch`: with
-    // smoothing the two agree only to ~1e-10, and the drift gauge must
-    // stay bit-identical.
-    let mut abs_sum = 0.0;
-    for (sample, _) in data.iter() {
-        abs_sum += (fit.tree.predict(&sample) - sample.cpi()).abs();
-    }
-    let mae = abs_sum / data.len() as f64;
+    let mae = fit.tree.mean_abs_error(&data);
     Ok(Some(Holdout { rows, mae }))
 }
 
@@ -315,9 +313,10 @@ mod tests {
         for fit in &fits {
             let rows: Vec<u32> = (fit.window.start as u32..fit.window.end as u32).collect();
             let direct = ModelTree::fit_indices(&naive, &rows, &rcfg.config).unwrap();
+            let first = naive.sample(rows[0] as usize);
             assert_eq!(
-                fit.tree.predict(&naive.sample(rows[0] as usize)).to_bits(),
-                direct.predict(&naive.sample(rows[0] as usize)).to_bits()
+                fit.tree.compile().predict(&first).to_bits(),
+                direct.compile().predict(&first).to_bits()
             );
         }
 
@@ -328,8 +327,8 @@ mod tests {
         for (a, b) in fits.iter().zip(&again) {
             assert_eq!(a.fingerprint, b.fingerprint);
             assert_eq!(
-                a.tree.predict(&naive.sample(0)).to_bits(),
-                b.tree.predict(&naive.sample(0)).to_bits()
+                a.tree.compile().predict(&naive.sample(0)).to_bits(),
+                b.tree.compile().predict(&naive.sample(0)).to_bits()
             );
         }
         let _ = std::fs::remove_dir_all(root);
@@ -397,6 +396,46 @@ mod tests {
         assert_eq!(alerts[0].rule, "stream-refit-mae-drift");
         assert_eq!(alerts[0].value, bad_mae);
         let _ = std::fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn holdout_mae_is_the_compiled_batch_mae_on_any_thread_count() {
+        let scfg = StreamConfig::new(FleetConfig::cpu2006(100, 90, 29))
+            .with_shards(2)
+            .with_chunk_rows(512);
+        let bytes = sealed_container("holdout", &scfg);
+        let mut maes = Vec::new();
+        for threads in [1usize, 4] {
+            // One store per thread count, so each window is really
+            // fitted with (and compiles to) its own thread budget.
+            let (store, root) = temp_store(&format!("holdout-{threads}"));
+            let config = M5Config::default()
+                .with_min_leaf(64)
+                .with_n_threads(threads);
+            let cfg = RefitConfig::new(4096, config).with_stride(4096);
+            let mut reader = ChunkedReader::open(Cursor::new(&bytes)).unwrap();
+            let total = reader.n_rows();
+            let window = cfg.windows(total)[0].clone();
+            let fit = refit_window(&mut reader, &store, &cfg, window).unwrap();
+            let holdout = holdout_eval(&mut reader, &fit, cfg.stride, total)
+                .unwrap()
+                .expect("rows follow the first window");
+            // More than three engine chunks' worth of rows, so four
+            // workers really split the batch.
+            assert!(holdout.rows.end - holdout.rows.start > 3072, "{holdout:?}");
+            let engine = fit.tree.compile();
+            assert_eq!(engine.n_threads(), threads);
+            let data = reader.window_dataset(holdout.rows.clone()).unwrap();
+            let mut abs_sum = 0.0;
+            for (p, y) in engine.predict_batch(&data).iter().zip(data.cpi_column()) {
+                abs_sum += (p - y).abs();
+            }
+            let want = abs_sum / data.len() as f64;
+            assert_eq!(holdout.mae.to_bits(), want.to_bits(), "{threads} threads");
+            maes.push(holdout.mae);
+            let _ = std::fs::remove_dir_all(root);
+        }
+        assert_eq!(maes[0].to_bits(), maes[1].to_bits());
     }
 
     #[test]

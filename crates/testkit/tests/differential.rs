@@ -8,11 +8,10 @@
 //!   split events, thresholds, node statistics, and model coefficients
 //!   compared via `to_bits` (smoothing and thread count must not affect
 //!   training at all);
-//! * interpreter predictions are **bit-identical** to the reference
-//!   walk, smoothing on or off;
-//! * the compiled batch engine (which algebraically folds the smoothing
-//!   chain into flat per-leaf models) agrees bit-for-bit with smoothing
-//!   off and to `<= 1e-10` relative error with smoothing on.
+//! * the compiled engine — the only predictor, which algebraically
+//!   folds the smoothing chain into flat per-leaf models — agrees with
+//!   the reference's textbook leaf-to-root walk bit-for-bit with
+//!   smoothing off and to `<= 1e-10` relative error with smoothing on.
 //!
 //! Smoke mode covers 100 datasets x 24 corners on every push;
 //! `TESTKIT_FULL=1` deepens the pool to 300.
@@ -58,20 +57,12 @@ fn optimized_trainer_is_bit_identical_to_reference_oracle() {
             }
             n_tree_comparisons += 1;
 
-            // Interpreter predictions: bit-identical, smoothing on or
-            // off (both sides walk the same chain in the same order).
+            // Compiled engine against the textbook walk: exact without
+            // smoothing; the folded smoothing chain reassociates, so
+            // within 1e-10 with it.
             let engine = CompiledTree::new(&tree);
             for (i, (sample, _)) in data.iter().enumerate() {
                 let want = reference.predict_with_smoothing(&sample, corner.config.smoothing);
-                let got = tree.predict(&sample);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "dataset {d} row {i} [{}]: interpreter {got} vs reference {want}",
-                    corner.name
-                );
-                // Compiled engine: exact without smoothing; the folded
-                // smoothing chain reassociates, so within 1e-10 with it.
                 let compiled = engine.predict(&sample);
                 if corner.config.smoothing {
                     if let Err(msg) = close_to(compiled, want, 1e-10) {

@@ -81,8 +81,9 @@ fn constant_columns_are_inert() {
                 t0.structural_eq(&t1),
                 "seed {seed}: moving a constant column changed the tree"
             );
+            let (e0, e1) = (t0.compile(), t1.compile());
             for (sample, _) in base.iter() {
-                assert_eq!(t0.predict(&sample).to_bits(), t1.predict(&sample).to_bits());
+                assert_eq!(e0.predict(&sample).to_bits(), e1.predict(&sample).to_bits());
             }
             checked += 1;
         }
@@ -107,8 +108,9 @@ fn row_permutation_leaves_tree_equivalent() {
             t1.n_leaves(),
             "seed {seed}: row order changed the tree shape"
         );
+        let (e0, e1) = (t0.compile(), t1.compile());
         for (i, (sample, _)) in data.iter().enumerate() {
-            if let Err(msg) = close_to(t0.predict(&sample), t1.predict(&sample), 1e-6) {
+            if let Err(msg) = close_to(e0.predict(&sample), e1.predict(&sample), 1e-6) {
                 panic!("seed {seed} row {i}: permutation moved a prediction: {msg}");
             }
         }
@@ -156,13 +158,14 @@ fn attribute_permutation_relabels_without_reshaping() {
         matched += 1;
         // Unsmoothed, unpruned predictions are leaf means: bit-exact
         // under the relabeling.
+        let (e0, e1) = (t0.compile(), t1.compile());
         for (i, (sample, _)) in data.iter().enumerate() {
             let mut relabeled = sample.clone();
             relabeled.set(a, sample.get(b));
             relabeled.set(b, sample.get(a));
             assert_eq!(
-                t0.predict(&sample).to_bits(),
-                t1.predict(&relabeled).to_bits(),
+                e0.predict(&sample).to_bits(),
+                e1.predict(&relabeled).to_bits(),
                 "seed {seed} row {i}: prediction moved under column swap"
             );
         }
@@ -191,10 +194,11 @@ fn affine_target_rescaling_preserves_shape() {
             split_signature(&t4),
             "seed {seed}: 4x target rescale reshaped the tree"
         );
+        let (e0, e4) = (t0.compile(), t4.compile());
         for (i, (sample, _)) in data.iter().enumerate() {
             assert_eq!(
-                (4.0 * t0.predict(&sample)).to_bits(),
-                t4.predict(&sample).to_bits(),
+                (4.0 * e0.predict(&sample)).to_bits(),
+                e4.predict(&sample).to_bits(),
                 "seed {seed} row {i}: 4x rescale is not exact"
             );
         }
@@ -227,8 +231,9 @@ fn affine_target_rescaling_preserves_shape() {
             continue;
         }
         matched += 1;
+        let (e0, ea) = (t0.compile(), ta.compile());
         for (i, (sample, _)) in data.iter().enumerate() {
-            if let Err(msg) = close_to(a * t0.predict(&sample) + b, ta.predict(&sample), 1e-9) {
+            if let Err(msg) = close_to(a * e0.predict(&sample) + b, ea.predict(&sample), 1e-9) {
                 panic!("seed {seed} row {i}: affine rescale broke prediction: {msg}");
             }
         }
@@ -259,10 +264,11 @@ fn duplicated_rows_are_pure_reweighting() {
             split_signature(&t1),
             "seed {seed}: duplicating rows changed the tree shape"
         );
+        let (e0, e1) = (t0.compile(), t1.compile());
         for (i, (sample, _)) in data.iter().enumerate() {
             assert_eq!(
-                t0.predict(&sample).to_bits(),
-                t1.predict(&sample).to_bits(),
+                e0.predict(&sample).to_bits(),
+                e1.predict(&sample).to_bits(),
                 "seed {seed} row {i}: duplication reweighting moved a prediction"
             );
         }
@@ -294,8 +300,9 @@ fn all_equal_targets_collapse_to_one_constant_leaf() {
         for config in [M5Config::default(), exact_config()] {
             let tree = ModelTree::fit(&data, &config).unwrap();
             assert_eq!(tree.n_leaves(), 1, "seed {seed}: flat target still split");
+            let engine = tree.compile();
             for (sample, _) in data.iter() {
-                assert_eq!(tree.predict(&sample).to_bits(), cpi.to_bits());
+                assert_eq!(engine.predict(&sample).to_bits(), cpi.to_bits());
             }
         }
     }
@@ -319,9 +326,7 @@ fn min_leaf_one_produces_and_survives_single_row_leaves() {
             })
             .count();
         // Every training sample still predicts finitely.
-        for (sample, _) in data.iter() {
-            assert!(tree.predict(&sample).is_finite());
-        }
+        assert!(tree.predict_all(&data).iter().all(|p| p.is_finite()));
     }
     assert!(
         single_row_leaves > 0,

@@ -79,13 +79,16 @@ fn ooc_window_fits_bit_identical_to_in_memory_across_chunk_sizes() {
             let mem = ModelTree::fit_indices(&full, &rows, &m5).unwrap();
             let context = format!("chunk_rows {chunk_rows}, window {w:?}");
             assert_trees_bit_identical(&ooc, &mem, &context);
-            for i in 0..data.len() {
+            let ooc_predictions = ooc.compile().predict_batch(&data);
+            let mem_predictions = mem.compile().predict_indices(&full, &rows);
+            for (i, (a, b)) in ooc_predictions.iter().zip(&mem_predictions).enumerate() {
                 assert_eq!(
-                    ooc.predict(&data.sample(i)).to_bits(),
-                    mem.predict(&full.sample(w.start as usize + i)).to_bits(),
+                    a.to_bits(),
+                    b.to_bits(),
                     "{context}: prediction for row {i} diverged"
                 );
             }
+            assert_eq!(ooc_predictions.len(), data.len());
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

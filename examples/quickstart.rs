@@ -44,7 +44,7 @@ fn main() {
     println!(
         "probe interval classifies into LM{} with predicted CPI {:.3}",
         tree.classify(&probe),
-        tree.predict(&probe)
+        tree.compile().predict(&probe)
     );
 
     // 5. Explain the prediction: the decision path and the leaf equation.

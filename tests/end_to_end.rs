@@ -61,9 +61,10 @@ fn dataset_roundtrips_preserve_classification() {
     // Tree JSON round trip preserves predictions exactly enough.
     let json = serde_json::to_string(&tree).expect("serialize tree");
     let tree2: ModelTree = serde_json::from_str(&json).expect("deserialize tree");
+    let (engine, engine2) = (tree.compile(), tree2.compile());
     for i in (0..data.len()).step_by(131) {
         let s = data.sample(i);
-        assert!((tree.predict(&s) - tree2.predict(&s)).abs() < 1e-9);
+        assert!((engine.predict(&s) - engine2.predict(&s)).abs() < 1e-9);
     }
 }
 

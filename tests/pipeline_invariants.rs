@@ -40,8 +40,7 @@ fn smoothed_predictions_stay_within_sane_cpi_range() {
     let data = generate(&Suite::cpu2006(), 8_000, 3);
     let tree = ModelTree::fit(&data, &M5Config::default().with_min_leaf(50)).expect("fit");
     let probe_data = generate(&Suite::cpu2006(), 2_000, 4);
-    for i in 0..probe_data.len() {
-        let p = tree.predict(&probe_data.sample(i));
+    for p in tree.predict_all(&probe_data) {
         assert!(p.is_finite());
         assert!(p > -1.0 && p < 12.0, "prediction {p} out of range");
     }
@@ -70,12 +69,13 @@ fn smoothing_off_matches_leaf_models_exactly() {
     )
     .expect("fit");
     let leaves = tree.leaves();
+    let engine = tree.compile();
     for i in (0..data.len()).step_by(101) {
         let s = data.sample(i);
         let lm = tree.classify(&s);
         let leaf_model = &leaves[lm - 1].model;
         assert!(
-            (tree.predict(&s) - leaf_model.predict(&s)).abs() < 1e-12,
+            (engine.predict(&s) - leaf_model.predict(&s)).abs() < 1e-12,
             "unsmoothed prediction differs from leaf model"
         );
     }
