@@ -767,26 +767,24 @@ pub fn find_best_split(
     best
 }
 
-/// Convenience wrapper: presorts a subset of `data` and searches it once.
-///
-/// This is the one-shot entry point used by tests and benchmarks; tree
-/// fitting instead builds the root [`SortArena`] once and maintains it
-/// by partitioning.
-pub fn best_split(data: &Dataset, indices: &[u32], min_leaf: usize) -> Option<Split> {
-    if indices.is_empty() {
-        return None;
-    }
-    let cols = Columns::new(data);
-    let mut arena = SortArena::new(&cols, indices);
-    let set = arena.node_set();
-    let stats = TargetStats::compute(cols.cpi, &set.indices);
-    find_best_split(&cols, &set, min_leaf, &stats, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use perfcounters::Sample;
+
+    /// Presorts a subset of `data` and searches it once (tree fitting
+    /// instead builds the root [`SortArena`] once and maintains it by
+    /// partitioning).
+    fn best_split(data: &Dataset, indices: &[u32], min_leaf: usize) -> Option<Split> {
+        if indices.is_empty() {
+            return None;
+        }
+        let cols = Columns::new(data);
+        let mut arena = SortArena::new(&cols, indices);
+        let set = arena.node_set();
+        let stats = TargetStats::compute(cols.cpi, &set.indices);
+        find_best_split(&cols, &set, min_leaf, &stats, 1)
+    }
 
     fn two_regime_dataset() -> (Dataset, Vec<u32>) {
         // CPI = 0.5 below the DtlbMiss threshold, 2.0 above it.

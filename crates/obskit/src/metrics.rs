@@ -126,7 +126,7 @@ define_metrics! {
 macro_rules! define_hists {
     ($($variant:ident, $name:literal;)+) => {
         /// Every histogram metric. Values are `u64` observations on a
-        /// log₂ bucket scale (see [`bucket_of`]).
+        /// log₂ bucket scale (see [`N_BUCKETS`]).
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum Hist {
@@ -167,7 +167,7 @@ pub const N_BUCKETS: usize = 65;
 
 /// The log₂ bucket index of one observation.
 #[inline]
-pub fn bucket_of(value: u64) -> usize {
+fn bucket_of(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
 }
 

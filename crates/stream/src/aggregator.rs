@@ -622,24 +622,14 @@ fn ingest(
 /// Re-raises the panic of a worker thread.
 pub fn run_stream(cfg: &StreamConfig, out: &Path) -> io::Result<StreamSummary> {
     let plan = StreamPlan::new(cfg);
-    run_planned(&plan, cfg, out)
-}
-
-/// [`run_stream`] against a pre-resolved plan (callers that also need
-/// the plan for oracles or recompute avoid resolving it twice).
-///
-/// # Errors
-///
-/// See [`run_stream`].
-pub fn run_planned(plan: &StreamPlan, cfg: &StreamConfig, out: &Path) -> io::Result<StreamSummary> {
     let n_workers = cfg.n_threads.max(1).min(plan.n_shards());
     let counters = SharedCounters::default();
     let spill_paths: Vec<PathBuf> = (0..plan.n_shards())
         .map(|shard| spill_path(out, shard))
         .collect();
     let summary = open_spills(&spill_paths, n_workers)
-        .and_then(|spills| ingest(plan, cfg, spills, &counters))
-        .and_then(|chunk_counts| assemble(plan, cfg, &spill_paths, &chunk_counts, &counters, out));
+        .and_then(|spills| ingest(&plan, cfg, spills, &counters))
+        .and_then(|chunk_counts| assemble(&plan, cfg, &spill_paths, &chunk_counts, &counters, out));
     for spill in &spill_paths {
         let _ = std::fs::remove_file(spill);
     }

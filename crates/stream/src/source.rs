@@ -256,25 +256,32 @@ impl StreamPlan {
 
     /// The whole stream as one in-memory dataset, assembled naively
     /// shard by shard — the differential oracle the test suite compares
-    /// the real aggregator against.
+    /// the real aggregator against. Rows go straight into the columns,
+    /// so the oracle holds no row-major copy of the stream.
     ///
     /// # Panics
     ///
     /// Panics if the plan's labels exceed its own name table (a plan
     /// construction bug).
     pub fn naive_dataset(&self) -> Dataset {
-        let mut samples = Vec::with_capacity(self.total_rows() as usize);
-        let mut labels = Vec::with_capacity(samples.capacity());
+        let n = self.total_rows() as usize;
+        let mut cpi = Vec::with_capacity(n);
+        let mut events: [Vec<f64>; N_EVENTS] = std::array::from_fn(|_| Vec::with_capacity(n));
+        let mut labels = Vec::with_capacity(n);
         for shard in 0..self.n_shards {
             for (h, s) in self.shard_row_order(shard) {
-                samples.push(self.record(h, s));
+                let sample = self.record(h, s);
+                cpi.push(sample.cpi());
+                for (column, &v) in events.iter_mut().zip(sample.densities()) {
+                    column.push(v);
+                }
                 labels.push(self.host_label(h));
             }
         }
         // Invariant: `new` draws every host label from the allocation
         // over `benchmarks`, so each label indexes the name table.
         #[allow(clippy::expect_used)]
-        Dataset::from_parts(samples, labels, self.benchmarks.clone())
+        Dataset::from_columns(cpi, events, labels, self.benchmarks.clone())
             .expect("plan labels index the plan's own name table")
     }
 }
@@ -368,6 +375,21 @@ mod tests {
             }
         }
         assert_eq!(at as u64, plan.total_rows());
+    }
+
+    #[test]
+    fn naive_dataset_equals_the_row_wise_construction() {
+        let plan = StreamPlan::new(&small_cfg().with_faults(FaultConfig::standard(3)));
+        let (mut samples, mut labels) = (Vec::new(), Vec::new());
+        for shard in 0..plan.n_shards() {
+            for (h, s) in plan.shard_row_order(shard) {
+                samples.push(plan.record(h, s));
+                labels.push(plan.host_label(h));
+            }
+        }
+        let row_wise = Dataset::from_parts(samples, labels, plan.benchmarks().to_vec()).unwrap();
+        assert!(!row_wise.is_empty());
+        assert_eq!(plan.naive_dataset(), row_wise);
     }
 
     #[test]

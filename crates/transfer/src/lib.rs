@@ -473,56 +473,6 @@ impl TransferabilityReport {
     }
 }
 
-/// One point of a training-fraction sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FractionPoint {
-    /// Fraction of the pool used for training.
-    pub fraction: f64,
-    /// Number of training samples.
-    pub n_train: usize,
-    /// Accuracy of the resulting model on the fixed test set.
-    pub metrics: PredictionMetrics,
-    /// Leaf count of the fitted tree.
-    pub n_leaves: usize,
-}
-
-/// Sweeps the training fraction, fitting one model per fraction on a
-/// random subset of `pool` and evaluating on the fixed `test` set — the
-/// study behind the paper's choice of a 10% training sample.
-///
-/// # Errors
-///
-/// Returns [`TransferError::Stats`] if the test set is too small, and
-/// propagates model-fit failures as a `Stats` error with the fit
-/// message.
-pub fn train_fraction_sweep(
-    pool: &Dataset,
-    test: &Dataset,
-    fractions: &[f64],
-    config: &modeltree::M5Config,
-    seed: u64,
-) -> Result<Vec<FractionPoint>> {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(fractions.len());
-    for &fraction in fractions {
-        let (train, _) = pool.split_random(&mut rng, fraction.clamp(0.0, 1.0));
-        let mut cfg = *config;
-        cfg.min_leaf = cfg.min_leaf.min((train.len() / 4).max(1));
-        cfg.min_split = cfg.min_split.max(2 * cfg.min_leaf);
-        let tree = ModelTree::fit(&train, &cfg)
-            .map_err(|e| TransferError::Stats(StatsError::InsufficientData(e.to_string())))?;
-        let metrics = PredictionMetrics::from_predictions(&tree.predict_all(test), &test.cpis())?;
-        out.push(FractionPoint {
-            fraction,
-            n_train: train.len(),
-            metrics,
-            n_leaves: tree.n_leaves(),
-        });
-    }
-    Ok(out)
-}
-
 /// Bootstrap confidence intervals for the accuracy metrics of a model on
 /// a test set: returns `(correlation CI, MAE CI)`.
 ///
@@ -698,33 +648,6 @@ mod tests {
         // Within-suite: the whole C interval clears the 0.85 threshold.
         assert!(c_ci.lower > 0.85, "{c_ci:?}");
         assert!(mae_ci.upper < 0.15, "{mae_ci:?}");
-    }
-
-    #[test]
-    fn fraction_sweep_improves_then_saturates() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let data = Suite::cpu2006().generate(&mut rng, 10_000, &GeneratorConfig::default(), 1);
-        let (pool, test) = data.split_random(&mut rng, 0.5);
-        let points = train_fraction_sweep(
-            &pool,
-            &test,
-            &[0.02, 0.1, 0.5, 1.0],
-            &ModelTree::fit(&pool, &M5Config::default().with_min_leaf(40))
-                .unwrap()
-                .config()
-                .clone(),
-            13,
-        )
-        .unwrap();
-        assert_eq!(points.len(), 4);
-        // Accuracy at the largest fraction beats the smallest.
-        let first = points.first().unwrap().metrics.mae;
-        let last = points.last().unwrap().metrics.mae;
-        assert!(last <= first + 1e-9, "no improvement: {first} -> {last}");
-        // Sample counts grow with the fraction.
-        for w in points.windows(2) {
-            assert!(w[0].n_train <= w[1].n_train);
-        }
     }
 
     /// A hand-built 30-sample dataset: `dtlb` and `simd` supply those
