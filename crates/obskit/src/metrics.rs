@@ -93,6 +93,7 @@ define_metrics! {
     PipelineCorruptEvictions, "pipeline.corrupt_evictions", Counter;
     PipelineBytesRead, "pipeline.bytes_read", Counter;
     PipelineBytesWritten, "pipeline.bytes_written", Counter;
+    PipelineInflightWaits, "pipeline.inflight_waits", Counter;
     // Counter-multiplexing PMU simulator.
     PmuIntervals, "pmu.intervals", Counter;
     PmuRotations, "pmu.rotations", Counter;

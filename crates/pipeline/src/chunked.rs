@@ -41,8 +41,6 @@
 //! covering chunk's column slices to the window's columns, and
 //! [`Dataset::from_columns`] adopts them as the window's storage.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::codec::{
     check_header, integrity_hash, put_header, put_words, read_columns, seal, verify_sealed,
     CodecError, Reader, HEADER_LEN, ROW_BYTES,

@@ -42,8 +42,6 @@
 //! Numbers are little-endian. The formats are cache-internal: nothing
 //! outside the artifact store reads them.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::fingerprint::SCHEMA_VERSION;
 use modeltree::ModelTree;
 use perfcounters::events::N_EVENTS;

@@ -7,21 +7,40 @@
 //! 2. the content-addressed [`ArtifactStore`] on disk (shared across
 //!    processes and, in CI, across workflow runs).
 //!
+//! Every stage goes through one resolver. A stage names a *group* of
+//! part keys — one for a dataset or tree, two for a [`SplitSpec`], four
+//! for a [`TransferSplitSpec`] — and the resolver tries the memo, then
+//! the store (a group loads whole or not at all), then computes every
+//! part, counting, logging, persisting and memoizing in one place.
+//!
+//! **Single flight.** A group is computed at most once per context. Its
+//! memo entry, keyed by its first key, is a [`OnceLock`]: the first
+//! thread to miss the group takes the entry under the context lock and
+//! fills it outside the lock. Threads that ask meanwhile block on the
+//! entry (`pipeline.inflight_waits`), then share its `Arc`s or get a
+//! clone of its error. A filler that panics leaves the entry empty, and
+//! the next caller, blocked or new, fills it itself. An error leaves the
+//! memo once returned, so a later ask retries.
+//!
 //! Every resolution is counted in [`StageCounters`], which is how the
 //! warm-path guarantees are *tested* rather than assumed: a warm rerun
 //! of an experiment must show `datasets_generated == 0` and
 //! `trees_fitted == 0` while producing bit-identical artifacts.
 
-use crate::fingerprint::{dataset_content_fingerprint, Fingerprint, FingerprintHasher};
+use crate::fingerprint::{
+    dataset_content_fingerprint, Fingerprint, FingerprintHasher, Fingerprintable,
+};
 use crate::spec::{
     DatasetInput, DatasetSpec, PipelineError, Result, SplitPart, SplitSpec, TransferPart,
     TransferSplitSpec, TreeSpec,
 };
-use crate::store::ArtifactStore;
+use crate::store::{ArtifactStore, StoredArtifact};
 use modeltree::{M5Config, ModelTree};
+use obskit::metrics::{incr, Metric};
 use perfcounters::Dataset;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::hash_map::{Entry, HashMap};
+use std::fmt::Display;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Counts of how each artifact this context resolved was obtained.
@@ -65,16 +84,89 @@ pub struct TransferSplit {
 /// nothing is formatted unless a log/trace sink is active.
 struct Elapsed(std::time::Duration);
 
-impl std::fmt::Display for Elapsed {
+impl Display for Elapsed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:.1?}", self.0)
     }
 }
 
+/// Locks a mutex whether or not a panicking thread poisoned it: every
+/// critical section here leaves its state consistent at unlock.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the resolver needs of one artifact kind beyond its codec: its
+/// memo table, its load counter, and the metric and events of a load.
+trait Artifact: StoredArtifact {
+    const HIT: &'static str;
+    const EVICT: &'static str;
+    const STORE_FAILED: &'static str;
+    const HIT_METRIC: Metric;
+    fn tables(inner: &mut Inner) -> (&mut HashMap<u128, Group<Self>>, &mut usize);
+}
+
+impl Artifact for Dataset {
+    const HIT: &'static str = "dataset.hit";
+    const EVICT: &'static str = "dataset.evict";
+    const STORE_FAILED: &'static str = "dataset.store_failed";
+    const HIT_METRIC: Metric = Metric::PipelineDatasetHits;
+    fn tables(inner: &mut Inner) -> (&mut HashMap<u128, Group<Self>>, &mut usize) {
+        (&mut inner.datasets, &mut inner.counters.datasets_loaded)
+    }
+}
+
+impl Artifact for ModelTree {
+    const HIT: &'static str = "tree.hit";
+    const EVICT: &'static str = "tree.evict";
+    const STORE_FAILED: &'static str = "tree.store_failed";
+    const HIT_METRIC: Metric = Metric::PipelineTreeHits;
+    fn tables(inner: &mut Inner) -> (&mut HashMap<u128, Group<Self>>, &mut usize) {
+        (&mut inner.trees, &mut inner.counters.trees_loaded)
+    }
+}
+
+/// The compute side of one stage: its trace span, its miss event, and
+/// the counter and metric one computation bumps.
+struct Stage {
+    span: &'static str,
+    miss: &'static str,
+    metric: Metric,
+    computed: fn(&mut StageCounters) -> &mut usize,
+}
+
+const GENERATE: Stage = Stage {
+    span: "pipeline.generate",
+    miss: "dataset.miss",
+    metric: Metric::PipelineDatasetMisses,
+    computed: |c| &mut c.datasets_generated,
+};
+
+const SPLIT: Stage = Stage {
+    span: "pipeline.split",
+    miss: "split.miss",
+    metric: Metric::PipelineSplitsComputed,
+    computed: |c| &mut c.splits_computed,
+};
+
+const FIT: Stage = Stage {
+    span: "pipeline.fit",
+    miss: "tree.miss",
+    metric: Metric::PipelineTreeMisses,
+    computed: |c| &mut c.trees_fitted,
+};
+
+/// One group's memo entry: its parts in key order, or the error of its
+/// one computation. Filled at most once; a filler that panics leaves it
+/// empty for the next caller.
+type Group<T> = Arc<OnceLock<Result<Box<[Arc<T>]>>>>;
+
 #[derive(Default)]
 struct Inner {
-    datasets: HashMap<u128, Arc<Dataset>>,
-    trees: HashMap<u128, Arc<ModelTree>>,
+    /// Dataset groups, by their first key.
+    datasets: HashMap<u128, Group<Dataset>>,
+    /// Tree groups, by their key.
+    trees: HashMap<u128, Group<ModelTree>>,
     counters: StageCounters,
 }
 
@@ -137,141 +229,123 @@ impl PipelineContext {
 
     /// A snapshot of the stage counters.
     pub fn counters(&self) -> StageCounters {
-        self.inner.lock().expect("pipeline lock").counters
+        lock(&self.inner).counters
     }
 
-    /// Emits one structured pipeline event: an instant event into the
-    /// obskit trace buffer whenever tracing is enabled, plus a
-    /// `[pipeline] name k=v` stderr line when this context's logging is
-    /// on (the `SPECREPRO_OBS_LOG` surface). Field values are only
-    /// rendered when a sink is active.
-    fn event(&self, name: &'static str, fields: &[(&str, &dyn std::fmt::Display)]) {
-        obskit::emit("pipeline", name, fields, self.logging);
+    /// Emits one structured pipeline event about `key`: an instant
+    /// event into the obskit trace buffer whenever tracing is enabled,
+    /// plus a `[pipeline] name key=… what=… field=value` stderr line when
+    /// this context's logging is on (the `SPECREPRO_OBS_LOG` surface).
+    /// Field values are only rendered when a sink is active.
+    fn event(
+        &self,
+        name: &'static str,
+        key: Fingerprint,
+        what: &str,
+        field: &str,
+        value: impl Display,
+    ) {
+        let fields: [(&str, &dyn Display); 3] = [("key", &key), ("what", &what), (field, &value)];
+        obskit::emit("pipeline", name, &fields, self.logging);
     }
 
-    fn memo_dataset(&self, key: Fingerprint) -> Option<Arc<Dataset>> {
-        self.inner
-            .lock()
-            .expect("pipeline lock")
-            .datasets
-            .get(&key.0)
-            .cloned()
+    /// Resolves one group of parts: memo, then store, then `inputs` and
+    /// `compute`, with at most one thread working on a group.
+    ///
+    /// The filler of a group resolves `inputs`, which fills other groups
+    /// while it holds this one. A stage's inputs are always artifacts of
+    /// earlier stages, so these nested fills form a DAG and no two
+    /// fillers ever wait on each other.
+    fn resolve<T: Artifact, I, const N: usize>(
+        &self,
+        keys: [Fingerprint; N],
+        what: &str,
+        stage: &Stage,
+        inputs: impl FnOnce() -> Result<I>,
+        compute: impl FnOnce(I) -> Result<[T; N]>,
+    ) -> Result<[Arc<T>; N]> {
+        let group = match T::tables(&mut lock(&self.inner)).0.entry(keys[0].0) {
+            Entry::Occupied(entry) => {
+                if entry.get().get().is_none() {
+                    incr(Metric::PipelineInflightWaits);
+                }
+                Arc::clone(entry.get())
+            }
+            Entry::Vacant(entry) => Arc::clone(entry.insert(Group::default())),
+        };
+        let parts = group.get_or_init(|| {
+            let parts = self.load_or_compute(&keys, what, stage, inputs, compute)?;
+            Ok(parts.map(Arc::new).into())
+        });
+        match parts {
+            Ok(parts) => <&[Arc<T>; N]>::try_from(&parts[..])
+                .cloned()
+                .map_err(|_| PipelineError(format!("group {} has another part count", keys[0]))),
+            Err(error) => {
+                if let Entry::Occupied(entry) = T::tables(&mut lock(&self.inner)).0.entry(keys[0].0)
+                {
+                    if Arc::ptr_eq(entry.get(), &group) {
+                        entry.remove();
+                    }
+                }
+                Err(error.clone())
+            }
+        }
     }
 
-    fn memo_tree(&self, key: Fingerprint) -> Option<Arc<ModelTree>> {
-        self.inner
-            .lock()
-            .expect("pipeline lock")
-            .trees
-            .get(&key.0)
-            .cloned()
+    /// The filler's half of [`PipelineContext::resolve`]: every part from
+    /// the store, or one computation, counted, logged and persisted.
+    fn load_or_compute<T: Artifact, I, const N: usize>(
+        &self,
+        keys: &[Fingerprint; N],
+        what: &str,
+        stage: &Stage,
+        inputs: impl FnOnce() -> Result<I>,
+        compute: impl FnOnce(I) -> Result<[T; N]>,
+    ) -> Result<[T; N]> {
+        if let Some(parts) = collect_parts(keys.iter().map(|&k| self.load(k, what))) {
+            return Ok(parts);
+        }
+        let input = inputs()?;
+        let start = Instant::now();
+        let parts = {
+            let _span = obskit::span("pipeline", stage.span);
+            compute(input)?
+        };
+        *(stage.computed)(&mut lock(&self.inner).counters) += 1;
+        incr(stage.metric);
+        let elapsed = Elapsed(start.elapsed());
+        self.event(stage.miss, keys[0], what, "elapsed", elapsed);
+        if let Some(store) = &self.store {
+            for (&key, part) in keys.iter().zip(&parts) {
+                // Best effort: an unwritable cache degrades to
+                // recompute-always, never to failure.
+                if let Err(e) = store.put(key, part) {
+                    self.event(T::STORE_FAILED, key, what, "error", e);
+                }
+            }
+        }
+        Ok(parts)
     }
 
     /// Tries the disk store, counting loads and corrupt evictions.
-    fn load_dataset(&self, key: Fingerprint, what: &str) -> Option<Dataset> {
-        use obskit::metrics::{incr, Metric};
-        let store = self.store.as_ref()?;
+    fn load<T: Artifact>(&self, key: Fingerprint, what: &str) -> Option<T> {
         let start = Instant::now();
-        match store.load_dataset(key) {
-            Ok(data) => {
-                let mut inner = self.inner.lock().expect("pipeline lock");
-                inner.counters.datasets_loaded += 1;
-                drop(inner);
-                incr(Metric::PipelineDatasetHits);
-                self.event(
-                    "dataset.hit",
-                    &[
-                        ("key", &key),
-                        ("what", &what),
-                        ("elapsed", &Elapsed(start.elapsed())),
-                    ],
-                );
-                Some(data)
+        match self.store.as_ref()?.get::<T>(key) {
+            Ok(part) => {
+                *T::tables(&mut lock(&self.inner)).1 += 1;
+                incr(T::HIT_METRIC);
+                self.event(T::HIT, key, what, "elapsed", Elapsed(start.elapsed()));
+                Some(part)
             }
             Err(None) => None,
             Err(Some(reason)) => {
-                let mut inner = self.inner.lock().expect("pipeline lock");
-                inner.counters.corrupt_evicted += 1;
-                drop(inner);
+                lock(&self.inner).counters.corrupt_evicted += 1;
                 incr(Metric::PipelineCorruptEvictions);
-                self.event(
-                    "dataset.evict",
-                    &[("key", &key), ("what", &what), ("reason", &reason)],
-                );
+                self.event(T::EVICT, key, what, "reason", reason);
                 None
             }
         }
-    }
-
-    fn load_tree(&self, key: Fingerprint, what: &str) -> Option<ModelTree> {
-        use obskit::metrics::{incr, Metric};
-        let store = self.store.as_ref()?;
-        let start = Instant::now();
-        match store.load_tree(key) {
-            Ok(tree) => {
-                let mut inner = self.inner.lock().expect("pipeline lock");
-                inner.counters.trees_loaded += 1;
-                drop(inner);
-                incr(Metric::PipelineTreeHits);
-                self.event(
-                    "tree.hit",
-                    &[
-                        ("key", &key),
-                        ("what", &what),
-                        ("elapsed", &Elapsed(start.elapsed())),
-                    ],
-                );
-                Some(tree)
-            }
-            Err(None) => None,
-            Err(Some(reason)) => {
-                let mut inner = self.inner.lock().expect("pipeline lock");
-                inner.counters.corrupt_evicted += 1;
-                drop(inner);
-                incr(Metric::PipelineCorruptEvictions);
-                self.event(
-                    "tree.evict",
-                    &[("key", &key), ("what", &what), ("reason", &reason)],
-                );
-                None
-            }
-        }
-    }
-
-    /// Best-effort disk write (an unwritable cache degrades to
-    /// recompute-always, never to failure).
-    fn persist_dataset(&self, key: Fingerprint, data: &Dataset, what: &str) {
-        if let Some(store) = &self.store {
-            if let Err(e) = store.store_dataset(key, data) {
-                self.event(
-                    "dataset.store_failed",
-                    &[("key", &key), ("what", &what), ("error", &e)],
-                );
-            }
-        }
-    }
-
-    fn persist_tree(&self, key: Fingerprint, tree: &ModelTree, what: &str) {
-        if let Some(store) = &self.store {
-            if let Err(e) = store.store_tree(key, tree) {
-                self.event(
-                    "tree.store_failed",
-                    &[("key", &key), ("what", &what), ("error", &e)],
-                );
-            }
-        }
-    }
-
-    fn insert_dataset(&self, key: Fingerprint, data: Dataset) -> Arc<Dataset> {
-        let data = Arc::new(data);
-        let mut inner = self.inner.lock().expect("pipeline lock");
-        inner.datasets.entry(key.0).or_insert_with(|| data).clone()
-    }
-
-    fn insert_tree(&self, key: Fingerprint, tree: ModelTree) -> Arc<ModelTree> {
-        let tree = Arc::new(tree);
-        let mut inner = self.inner.lock().expect("pipeline lock");
-        inner.trees.entry(key.0).or_insert_with(|| tree).clone()
     }
 
     /// Resolves a generated dataset: memo, then store, then the
@@ -281,34 +355,14 @@ impl PipelineContext {
     ///
     /// Fails when the spec names a benchmark its suite doesn't contain.
     pub fn dataset(&self, spec: &DatasetSpec) -> Result<Arc<Dataset>> {
-        let key = spec.fingerprint();
-        let what = spec.describe();
-        if let Some(data) = self.memo_dataset(key) {
-            return Ok(data);
-        }
-        if let Some(data) = self.load_dataset(key, &what) {
-            return Ok(self.insert_dataset(key, data));
-        }
-        let start = Instant::now();
-        let data = {
-            let _span = obskit::span("pipeline", "pipeline.generate");
-            spec.compute(self.gen_threads)?
-        };
-        {
-            let mut inner = self.inner.lock().expect("pipeline lock");
-            inner.counters.datasets_generated += 1;
-        }
-        obskit::metrics::incr(obskit::metrics::Metric::PipelineDatasetMisses);
-        self.event(
-            "dataset.miss",
-            &[
-                ("key", &key),
-                ("what", &what),
-                ("elapsed", &Elapsed(start.elapsed())),
-            ],
-        );
-        self.persist_dataset(key, &data, &what);
-        Ok(self.insert_dataset(key, data))
+        let [data] = self.resolve(
+            [spec.fingerprint()],
+            &spec.describe(),
+            &GENERATE,
+            || Ok(()),
+            |()| Ok([spec.compute(self.gen_threads)?]),
+        )?;
+        Ok(data)
     }
 
     /// Resolves both halves of a random split. When both parts are
@@ -318,38 +372,14 @@ impl PipelineContext {
     ///
     /// Propagates base-dataset resolution failures.
     pub fn split(&self, spec: &SplitSpec) -> Result<(Arc<Dataset>, Arc<Dataset>)> {
-        let keys = [
-            spec.part_fingerprint(SplitPart::First),
-            spec.part_fingerprint(SplitPart::Second),
-        ];
-        let what = spec.describe();
-        if let (Some(first), Some(second)) = (
-            self.resolve_cached_dataset(keys[0], &what),
-            self.resolve_cached_dataset(keys[1], &what),
-        ) {
-            return Ok((first, second));
-        }
-        let base = self.dataset(&spec.base)?;
-        let start = Instant::now();
-        let (first, second) = {
-            let _span = obskit::span("pipeline", "pipeline.split");
-            spec.compute(&base)
-        };
-        {
-            let mut inner = self.inner.lock().expect("pipeline lock");
-            inner.counters.splits_computed += 1;
-        }
-        obskit::metrics::incr(obskit::metrics::Metric::PipelineSplitsComputed);
-        self.event(
-            "split.miss",
-            &[("what", &what), ("elapsed", &Elapsed(start.elapsed()))],
-        );
-        self.persist_dataset(keys[0], &first, &what);
-        self.persist_dataset(keys[1], &second, &what);
-        Ok((
-            self.insert_dataset(keys[0], first),
-            self.insert_dataset(keys[1], second),
-        ))
+        let [first, second] = self.resolve(
+            [SplitPart::First, SplitPart::Second].map(|p| spec.part_fingerprint(p)),
+            &spec.describe(),
+            &SPLIT,
+            || self.dataset(&spec.base),
+            |base| Ok(spec.compute(&base).into()),
+        )?;
+        Ok((first, second))
     }
 
     /// Resolves all four parts of the Section VI transfer protocol.
@@ -359,60 +389,19 @@ impl PipelineContext {
     ///
     /// Propagates suite-dataset resolution failures.
     pub fn transfer_split(&self, spec: &TransferSplitSpec) -> Result<TransferSplit> {
-        let keys = TransferPart::ALL.map(|p| spec.part_fingerprint(p));
-        let what = spec.describe();
-        let cached: Vec<Option<Arc<Dataset>>> = keys
-            .iter()
-            .map(|&k| self.resolve_cached_dataset(k, &what))
-            .collect();
-        if cached.iter().all(Option::is_some) {
-            let mut parts = cached.into_iter().map(|p| p.expect("checked above"));
-            return Ok(TransferSplit {
-                cpu_train: parts.next().expect("four parts"),
-                cpu_rest: parts.next().expect("four parts"),
-                omp_train: parts.next().expect("four parts"),
-                omp_rest: parts.next().expect("four parts"),
-            });
-        }
-        let cpu = self.dataset(&spec.cpu)?;
-        let omp = self.dataset(&spec.omp)?;
-        let start = Instant::now();
-        let parts = {
-            let _span = obskit::span("pipeline", "pipeline.split");
-            spec.compute(&cpu, &omp)
-        };
-        {
-            let mut inner = self.inner.lock().expect("pipeline lock");
-            inner.counters.splits_computed += 1;
-        }
-        obskit::metrics::incr(obskit::metrics::Metric::PipelineSplitsComputed);
-        self.event(
-            "split.miss",
-            &[("what", &what), ("elapsed", &Elapsed(start.elapsed()))],
-        );
-        let [cpu_train, cpu_rest, omp_train, omp_rest] = parts;
-        for (key, part) in keys
-            .iter()
-            .zip([&cpu_train, &cpu_rest, &omp_train, &omp_rest])
-        {
-            self.persist_dataset(*key, part, &what);
-        }
+        let [cpu_train, cpu_rest, omp_train, omp_rest] = self.resolve(
+            TransferPart::ALL.map(|p| spec.part_fingerprint(p)),
+            &spec.describe(),
+            &SPLIT,
+            || Ok((self.dataset(&spec.cpu)?, self.dataset(&spec.omp)?)),
+            |(cpu, omp)| Ok(spec.compute(&cpu, &omp)),
+        )?;
         Ok(TransferSplit {
-            cpu_train: self.insert_dataset(keys[0], cpu_train),
-            cpu_rest: self.insert_dataset(keys[1], cpu_rest),
-            omp_train: self.insert_dataset(keys[2], omp_train),
-            omp_rest: self.insert_dataset(keys[3], omp_rest),
+            cpu_train,
+            cpu_rest,
+            omp_train,
+            omp_rest,
         })
-    }
-
-    /// Memo-or-store lookup that never computes (used by split stages
-    /// to short-circuit when every part is already cached).
-    fn resolve_cached_dataset(&self, key: Fingerprint, what: &str) -> Option<Arc<Dataset>> {
-        if let Some(data) = self.memo_dataset(key) {
-            return Some(data);
-        }
-        let data = self.load_dataset(key, what)?;
-        Some(self.insert_dataset(key, data))
     }
 
     /// Resolves the input dataset of a tree spec.
@@ -451,16 +440,14 @@ impl PipelineContext {
     /// Propagates input resolution failures and trainer errors
     /// (degenerate training data, invalid configuration).
     pub fn tree(&self, spec: &TreeSpec) -> Result<Arc<ModelTree>> {
-        let key = spec.fingerprint();
-        let what = spec.describe();
-        if let Some(tree) = self.memo_tree(key) {
-            return Ok(tree);
-        }
-        if let Some(tree) = self.load_tree(key, &what) {
-            return Ok(self.insert_tree(key, tree));
-        }
-        let data = self.input_dataset(&spec.input)?;
-        self.fit_and_cache(key, &data, &spec.config, &what)
+        let [tree] = self.resolve(
+            [spec.fingerprint()],
+            &spec.describe(),
+            &FIT,
+            || self.input_dataset(&spec.input),
+            |data| fit(&data, &spec.config),
+        )?;
+        Ok(tree)
     }
 
     /// Resolves a tree over an *externally supplied* dataset (e.g. a
@@ -475,46 +462,29 @@ impl PipelineContext {
         let content = dataset_content_fingerprint(data);
         h.write_u64(content.0 as u64);
         h.write_u64((content.0 >> 64) as u64);
-        crate::fingerprint::Fingerprintable::fingerprint_into(config, &mut h);
-        let key = h.finish();
+        config.fingerprint_into(&mut h);
         let what = format!("m5(min_leaf={}) on external data", config.min_leaf);
-        if let Some(tree) = self.memo_tree(key) {
-            return Ok(tree);
-        }
-        if let Some(tree) = self.load_tree(key, &what) {
-            return Ok(self.insert_tree(key, tree));
-        }
-        self.fit_and_cache(key, data, config, &what)
+        let [tree] = self.resolve(
+            [h.finish()],
+            &what,
+            &FIT,
+            || Ok(data),
+            |data| fit(data, config),
+        )?;
+        Ok(tree)
     }
+}
 
-    fn fit_and_cache(
-        &self,
-        key: Fingerprint,
-        data: &Dataset,
-        config: &M5Config,
-        what: &str,
-    ) -> Result<Arc<ModelTree>> {
-        let start = Instant::now();
-        let tree = {
-            let _span = obskit::span("pipeline", "pipeline.fit");
-            ModelTree::fit(data, config).map_err(PipelineError::from)?
-        };
-        {
-            let mut inner = self.inner.lock().expect("pipeline lock");
-            inner.counters.trees_fitted += 1;
-        }
-        obskit::metrics::incr(obskit::metrics::Metric::PipelineTreeMisses);
-        self.event(
-            "tree.miss",
-            &[
-                ("key", &key),
-                ("what", &what),
-                ("elapsed", &Elapsed(start.elapsed())),
-            ],
-        );
-        self.persist_tree(key, &tree, what);
-        Ok(self.insert_tree(key, tree))
-    }
+/// The M5' stage: one tree.
+fn fit(data: &Dataset, config: &M5Config) -> Result<[ModelTree; 1]> {
+    Ok([ModelTree::fit(data, config).map_err(PipelineError::from)?])
+}
+
+/// All `N` parts, or `None` at the first missing one (the parts after
+/// it are never produced).
+fn collect_parts<T, const N: usize>(parts: impl Iterator<Item = Option<T>>) -> Option<[T; N]> {
+    let parts: Vec<T> = parts.collect::<Option<_>>()?;
+    parts.try_into().ok()
 }
 
 #[cfg(test)]
@@ -632,6 +602,108 @@ mod tests {
         // The recompute re-populated the store.
         assert!(store.load_dataset(key).is_ok());
         store.clear().unwrap();
+    }
+
+    type Joined = std::thread::Result<Result<[Arc<Dataset>; 1]>>;
+
+    /// Resolves `key` on two threads. The first takes its memo entry and
+    /// runs `owner` only once the second, which would run `waiter` if it
+    /// filled the entry, holds it too.
+    fn owner_and_waiter(
+        ctx: &PipelineContext,
+        key: Fingerprint,
+        owner: impl FnOnce() -> Result<Dataset> + Send,
+        waiter: impl FnOnce() -> Result<Dataset> + Send,
+    ) -> (Joined, Joined) {
+        // Holders of the entry: the memo, the owner and, once it has
+        // found the entry, the second thread.
+        let holders = || {
+            lock(&ctx.inner)
+                .datasets
+                .get(&key.0)
+                .map_or(0, Arc::strong_count)
+        };
+        std::thread::scope(|scope| {
+            let owner = scope.spawn(|| {
+                ctx.resolve(
+                    [key],
+                    "owner",
+                    &GENERATE,
+                    || Ok(()),
+                    |()| {
+                        while holders() < 3 {
+                            std::thread::yield_now();
+                        }
+                        Ok([owner()?])
+                    },
+                )
+            });
+            while holders() < 2 {
+                std::thread::yield_now();
+            }
+            let waiter = scope
+                .spawn(|| ctx.resolve([key], "waiter", &GENERATE, || Ok(()), |()| Ok([waiter()?])));
+            (owner.join(), waiter.join())
+        })
+    }
+
+    #[test]
+    fn a_waiter_takes_over_when_the_owner_panics() {
+        let ctx = PipelineContext::ephemeral();
+        let spec = small_spec();
+        let (owner, waiter) = owner_and_waiter(
+            &ctx,
+            spec.fingerprint(),
+            || panic!("the owner fails mid-computation"),
+            || spec.compute(1),
+        );
+        assert!(owner.is_err(), "the owner's panic reaches its joiner");
+        let [data] = waiter.expect("the waiter does not panic").unwrap();
+        assert_eq!(*data, spec.compute(1).unwrap());
+        assert!(Arc::ptr_eq(&data, &ctx.dataset(&spec).unwrap()));
+        assert_eq!(ctx.counters().datasets_generated, 1);
+    }
+
+    #[test]
+    fn an_entry_left_empty_by_a_panic_is_filled_by_the_next_asker() {
+        let ctx = PipelineContext::ephemeral();
+        let spec = small_spec();
+        let key = spec.fingerprint();
+        let owner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ctx.resolve(
+                [key],
+                "owner",
+                &GENERATE,
+                || Ok(()),
+                |()| -> Result<[Dataset; 1]> { panic!("the owner fails mid-computation") },
+            )
+        }));
+        assert!(owner.is_err(), "the owner's panic reaches its caller");
+        let entry = lock(&ctx.inner).datasets.get(&key.0).map(Arc::clone);
+        assert!(entry.is_some_and(|group| group.get().is_none()));
+        // The empty entry does not block: this call fills it.
+        let data = ctx.dataset(&spec).unwrap();
+        assert_eq!(*data, spec.compute(1).unwrap());
+        assert_eq!(ctx.counters().datasets_generated, 1);
+    }
+
+    #[test]
+    fn a_waiter_receives_the_owners_error_without_computing() {
+        let ctx = PipelineContext::ephemeral();
+        let (owner, waiter) = owner_and_waiter(
+            &ctx,
+            small_spec().fingerprint(),
+            || Err(PipelineError("the owner's error".into())),
+            || panic!("the waiter must not compute"),
+        );
+        for joined in [owner, waiter] {
+            let err = joined.expect("no thread panics").unwrap_err();
+            assert_eq!(err.to_string(), "the owner's error");
+        }
+        assert!(
+            lock(&ctx.inner).datasets.is_empty(),
+            "errors are not memoized"
+        );
     }
 
     #[test]

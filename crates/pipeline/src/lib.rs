@@ -13,7 +13,11 @@
 //! and a [`context::PipelineContext`] resolves recipes through an
 //! in-memory memo table and an on-disk [`store::ArtifactStore`] keyed
 //! by [`fingerprint::Fingerprint`]s of the full input closure (schema
-//! version + stage domain + every output-affecting field).
+//! version + stage domain + every output-affecting field). One resolver
+//! serves every stage: it takes a stage's group of part keys (one for a
+//! dataset or tree, two for a split, four for the transfer protocol)
+//! and computes each group at most once per context, however many
+//! threads ask for it at the same time.
 //!
 //! The cache contract is **bit-identity**: a warm resolution returns a
 //! `Dataset` / `ModelTree` equal to the cold recompute down to every
@@ -28,6 +32,7 @@
 //! entry points — `reproduce`, the CLI, golden-snapshot tests — share.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chunked;
 pub mod codec;

@@ -27,7 +27,8 @@ use workloads::generator::{GeneratorConfig, Suite, GENERATOR_VERSION};
 use workloads::registry::{SuiteDef, SuiteRegistry};
 
 /// A pipeline failure: unknown benchmark, degenerate training data, …
-#[derive(Debug)]
+/// `Clone`, so one failed resolution can reach every thread waiting on it.
+#[derive(Debug, Clone)]
 pub struct PipelineError(pub String);
 
 impl std::fmt::Display for PipelineError {

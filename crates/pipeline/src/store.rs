@@ -20,36 +20,48 @@
 use crate::codec::{self, CodecError};
 use crate::fingerprint::{Fingerprint, SCHEMA_VERSION};
 use modeltree::ModelTree;
+use obskit::metrics::{add, time, Hist, Metric};
 use perfcounters::Dataset;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable overriding the store root.
 pub const CACHE_DIR_ENV: &str = "SPECREPRO_CACHE_DIR";
 
-/// The artifact kinds the store distinguishes (separate directories
-/// and file extensions; the fingerprint domain already separates keys).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArtifactKind {
-    /// Columnar binary datasets (`.spds`).
-    Dataset,
-    /// Model-tree envelopes (`.spmt`).
-    Tree,
+/// One artifact kind the store holds: its directory, its file
+/// extension and its codec. The fingerprint domain already separates
+/// keys; the directories keep `cache stats` per kind.
+pub(crate) trait StoredArtifact: Sized {
+    /// Subdirectory under `v<SCHEMA_VERSION>/`.
+    const DIR: &'static str;
+    /// File extension of one artifact.
+    const EXTENSION: &'static str;
+    /// Encodes one artifact.
+    fn encode(&self) -> Vec<u8>;
+    /// Decodes and verifies one artifact.
+    fn decode(bytes: &[u8]) -> Result<Self, CodecError>;
 }
 
-impl ArtifactKind {
-    fn dir(self) -> &'static str {
-        match self {
-            ArtifactKind::Dataset => "datasets",
-            ArtifactKind::Tree => "trees",
-        }
+impl StoredArtifact for Dataset {
+    const DIR: &'static str = "datasets";
+    const EXTENSION: &'static str = "spds";
+    fn encode(&self) -> Vec<u8> {
+        codec::encode_dataset(self)
     }
+    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        codec::decode_dataset(bytes)
+    }
+}
 
-    fn extension(self) -> &'static str {
-        match self {
-            ArtifactKind::Dataset => "spds",
-            ArtifactKind::Tree => "spmt",
-        }
+impl StoredArtifact for ModelTree {
+    const DIR: &'static str = "trees";
+    const EXTENSION: &'static str = "spmt";
+    fn encode(&self) -> Vec<u8> {
+        codec::encode_tree(self)
+    }
+    fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        codec::decode_tree(bytes)
     }
 }
 
@@ -102,41 +114,37 @@ impl ArtifactStore {
         &self.root
     }
 
-    fn path_for(&self, kind: ArtifactKind, key: Fingerprint) -> PathBuf {
-        self.root
-            .join(format!("v{SCHEMA_VERSION}"))
-            .join(kind.dir())
-            .join(format!("{}.{}", key.to_hex(), kind.extension()))
+    /// The directory of kind `T` and the path of `key`'s file in it.
+    fn path_for<T: StoredArtifact>(&self, key: Fingerprint) -> (PathBuf, PathBuf) {
+        let dir = self.root.join(format!("v{SCHEMA_VERSION}")).join(T::DIR);
+        let path = dir.join(format!("{}.{}", key.to_hex(), T::EXTENSION));
+        (dir, path)
     }
 
-    /// Writes `bytes` under `key`, atomically (temp file + rename).
-    /// Every call writes its own temp file — the name carries the
-    /// process id and a process-wide sequence number — so two writers
-    /// of one key, threads or processes, never truncate each other's
-    /// file and each rename publishes a complete artifact.
-    /// Best-effort: an unwritable cache degrades to recompute-always,
-    /// so I/O failures surface as `Err` for logging but are safe to
-    /// ignore.
-    fn put(&self, kind: ArtifactKind, key: Fingerprint, bytes: &[u8]) -> std::io::Result<()> {
+    /// Encodes `value` and writes it under `key`, atomically: a temp
+    /// file, then a rename. Every call writes its own temp file — the
+    /// name carries the process id and a process-wide sequence number —
+    /// so two writers of one key, threads or processes, never truncate
+    /// each other's file and each rename publishes a complete artifact.
+    /// Best-effort: an unwritable cache degrades to recompute-always, so
+    /// I/O failures surface as `Err` for logging but are safe to ignore.
+    pub(crate) fn put<T: StoredArtifact>(&self, key: Fingerprint, value: &T) -> io::Result<()> {
         // Only uniqueness matters: `fetch_add` hands every call its own
         // value under any ordering, and the counter publishes no data.
         static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = self.path_for(kind, key);
-        let dir = path.parent().expect("artifact path has a parent");
-        std::fs::create_dir_all(dir)?;
+        let bytes = time(Hist::PipelineCodecEncodeNs, || value.encode());
+        let (dir, path) = self.path_for::<T>(key);
+        std::fs::create_dir_all(&dir)?;
         let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
         let tmp = dir.join(format!(
             ".{}.tmp.{}.{seq}",
             key.to_hex(),
             std::process::id()
         ));
-        std::fs::write(&tmp, bytes)?;
+        std::fs::write(&tmp, &bytes)?;
         match std::fs::rename(&tmp, &path) {
             Ok(()) => {
-                obskit::metrics::add(
-                    obskit::metrics::Metric::PipelineBytesWritten,
-                    bytes.len() as u64,
-                );
+                add(Metric::PipelineBytesWritten, bytes.len() as u64);
                 Ok(())
             }
             Err(e) => {
@@ -146,19 +154,18 @@ impl ArtifactStore {
         }
     }
 
-    /// Reads the raw bytes under `key`, or `None` when absent.
-    fn get(&self, kind: ArtifactKind, key: Fingerprint) -> Option<Vec<u8>> {
-        let bytes = std::fs::read(self.path_for(kind, key)).ok()?;
-        obskit::metrics::add(
-            obskit::metrics::Metric::PipelineBytesRead,
-            bytes.len() as u64,
-        );
-        Some(bytes)
-    }
-
-    /// Removes the artifact under `key` (used to evict corrupt files).
-    fn evict(&self, kind: ArtifactKind, key: Fingerprint) {
-        let _ = std::fs::remove_file(self.path_for(kind, key));
+    /// Reads and decodes the artifact under `key`. Corrupt,
+    /// stale-format or cross-version files are evicted and reported as
+    /// `Err(Some(reason))`; a plain miss is `Err(None)`.
+    #[allow(clippy::result_large_err)]
+    pub(crate) fn get<T: StoredArtifact>(&self, key: Fingerprint) -> Result<T, Option<CodecError>> {
+        let (_, path) = self.path_for::<T>(key);
+        let bytes = std::fs::read(&path).map_err(|_| None)?;
+        add(Metric::PipelineBytesRead, bytes.len() as u64);
+        time(Hist::PipelineCodecDecodeNs, || T::decode(&bytes)).map_err(|e| {
+            let _ = std::fs::remove_file(&path);
+            Some(e)
+        })
     }
 
     /// Stores a dataset under `key`.
@@ -166,26 +173,15 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Propagates I/O failures (safe to ignore; the store is a cache).
-    pub fn store_dataset(&self, key: Fingerprint, data: &Dataset) -> std::io::Result<()> {
-        let bytes = obskit::metrics::time(obskit::metrics::Hist::PipelineCodecEncodeNs, || {
-            codec::encode_dataset(data)
-        });
-        self.put(ArtifactKind::Dataset, key, &bytes)
+    pub fn store_dataset(&self, key: Fingerprint, data: &Dataset) -> io::Result<()> {
+        self.put(key, data)
     }
 
-    /// Loads the dataset under `key`. Corrupt, stale-format or
-    /// cross-version files are evicted and reported as
-    /// `Err(Some(reason))`; a plain miss is `Err(None)`.
+    /// Loads the dataset under `key` (see [`ArtifactStore::load_tree`]
+    /// for the error contract).
     #[allow(clippy::result_large_err)]
     pub fn load_dataset(&self, key: Fingerprint) -> Result<Dataset, Option<CodecError>> {
-        let bytes = self.get(ArtifactKind::Dataset, key).ok_or(None)?;
-        obskit::metrics::time(obskit::metrics::Hist::PipelineCodecDecodeNs, || {
-            codec::decode_dataset(&bytes)
-        })
-        .map_err(|e| {
-            self.evict(ArtifactKind::Dataset, key);
-            Some(e)
-        })
+        self.get(key)
     }
 
     /// Stores a model tree under `key`.
@@ -193,11 +189,8 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Propagates I/O failures (safe to ignore; the store is a cache).
-    pub fn store_tree(&self, key: Fingerprint, tree: &ModelTree) -> std::io::Result<()> {
-        let bytes = obskit::metrics::time(obskit::metrics::Hist::PipelineCodecEncodeNs, || {
-            codec::encode_tree(tree)
-        });
-        self.put(ArtifactKind::Tree, key, &bytes)
+    pub fn store_tree(&self, key: Fingerprint, tree: &ModelTree) -> io::Result<()> {
+        self.put(key, tree)
     }
 
     /// Loads the model tree under `key`. Corrupt, stale-format or
@@ -205,14 +198,7 @@ impl ArtifactStore {
     /// `Err(Some(reason))`; a plain miss is `Err(None)`.
     #[allow(clippy::result_large_err)]
     pub fn load_tree(&self, key: Fingerprint) -> Result<ModelTree, Option<CodecError>> {
-        let bytes = self.get(ArtifactKind::Tree, key).ok_or(None)?;
-        obskit::metrics::time(obskit::metrics::Hist::PipelineCodecDecodeNs, || {
-            codec::decode_tree(&bytes)
-        })
-        .map_err(|e| {
-            self.evict(ArtifactKind::Tree, key);
-            Some(e)
-        })
+        self.get(key)
     }
 
     /// Counts artifacts and bytes across every schema-version
@@ -223,24 +209,18 @@ impl ArtifactStore {
             return stats;
         };
         for version in versions.flatten() {
-            for kind in [ArtifactKind::Dataset, ArtifactKind::Tree] {
-                let Ok(entries) = std::fs::read_dir(version.path().join(kind.dir())) else {
+            for (dir, files, bytes) in [
+                (Dataset::DIR, &mut stats.datasets, &mut stats.dataset_bytes),
+                (ModelTree::DIR, &mut stats.trees, &mut stats.tree_bytes),
+            ] {
+                let Ok(entries) = std::fs::read_dir(version.path().join(dir)) else {
                     continue;
                 };
                 for entry in entries.flatten() {
                     let Ok(meta) = entry.metadata() else { continue };
-                    if !meta.is_file() {
-                        continue;
-                    }
-                    match kind {
-                        ArtifactKind::Dataset => {
-                            stats.datasets += 1;
-                            stats.dataset_bytes += meta.len();
-                        }
-                        ArtifactKind::Tree => {
-                            stats.trees += 1;
-                            stats.tree_bytes += meta.len();
-                        }
+                    if meta.is_file() {
+                        *files += 1;
+                        *bytes += meta.len();
                     }
                 }
             }
@@ -253,10 +233,10 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Propagates filesystem errors other than the root not existing.
-    pub fn clear(&self) -> std::io::Result<()> {
+    pub fn clear(&self) -> io::Result<()> {
         match std::fs::remove_dir_all(&self.root) {
             Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         }
     }
@@ -335,8 +315,8 @@ mod tests {
             }
         });
         assert_eq!(store.load_dataset(k).unwrap(), data);
-        let dir = store.path_for(ArtifactKind::Dataset, k);
-        let leftovers: Vec<_> = std::fs::read_dir(dir.parent().unwrap())
+        let (dir, _) = store.path_for::<Dataset>(k);
+        let leftovers: Vec<_> = std::fs::read_dir(dir)
             .unwrap()
             .flatten()
             .map(|e| e.file_name().to_string_lossy().into_owned())
@@ -354,7 +334,7 @@ mod tests {
         let store = temp_store("corrupt");
         let k = key("c");
         store.store_dataset(k, &tiny_dataset()).unwrap();
-        let path = store.path_for(ArtifactKind::Dataset, k);
+        let (_, path) = store.path_for::<Dataset>(k);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -374,7 +354,7 @@ mod tests {
         let store = temp_store("trunc");
         let k = key("t");
         store.store_dataset(k, &tiny_dataset()).unwrap();
-        let path = store.path_for(ArtifactKind::Dataset, k);
+        let (_, path) = store.path_for::<Dataset>(k);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         assert!(matches!(store.load_dataset(k), Err(Some(_))));

@@ -11,8 +11,10 @@
 use modeltree::ModelTree;
 use perfcounters::{Dataset, EventId};
 use pipeline::{
-    ArtifactStore, DatasetSpec, PipelineContext, SuiteKind, TransferSplitSpec, TreeSpec,
+    suite_tree_config, ArtifactStore, DatasetSpec, PipelineContext, StageCounters, SuiteKind,
+    TransferSplitSpec, TreeSpec,
 };
+use std::sync::{Arc, Barrier};
 use testkit::corner_lattice;
 use testkit::generators::differential_dataset;
 
@@ -212,4 +214,53 @@ fn fingerprints_separate_every_closure_field() {
         "different seeds produced identical first samples"
     );
     store.clear().unwrap();
+}
+
+/// Runs `resolve` on `n` threads that a barrier releases together.
+fn resolve_together<T: Send>(n: usize, resolve: impl Fn() -> T + Sync) -> Vec<T> {
+    let start = Barrier::new(n);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    resolve()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("resolver thread panicked"))
+            .collect()
+    })
+}
+
+#[test]
+fn concurrent_askers_share_one_computation() {
+    let ctx = PipelineContext::ephemeral();
+    let spec = TreeSpec::new(
+        DatasetSpec::new(SuiteKind::cpu2006(), 2000, 41),
+        suite_tree_config(2000),
+    );
+    let trees: Vec<_> = resolve_together(8, || ctx.tree(&spec))
+        .into_iter()
+        .map(|tree| tree.expect("fits"))
+        .collect();
+    let c = ctx.counters();
+    assert_eq!((c.datasets_generated, c.trees_fitted), (1, 1), "{c:?}");
+    assert!(trees.iter().all(|tree| Arc::ptr_eq(tree, &trees[0])));
+}
+
+#[test]
+fn concurrent_askers_all_receive_the_error() {
+    let ctx = PipelineContext::ephemeral();
+    let spec = TreeSpec::new(
+        DatasetSpec::new(SuiteKind::cpu2006(), 2000, 41).with_benchmark("999.nonesuch"),
+        suite_tree_config(2000),
+    );
+    for result in resolve_together(8, || ctx.tree(&spec)) {
+        let err = result.expect_err("an unknown benchmark cannot resolve");
+        assert!(err.to_string().contains("999.nonesuch"), "{err}");
+    }
+    assert_eq!(ctx.counters(), StageCounters::default());
 }
