@@ -7,10 +7,9 @@
 use crate::{BaselineError, Regressor, Result};
 use perfcounters::events::EventId;
 use perfcounters::{Dataset, Sample};
-use serde::{Deserialize, Serialize};
 
 /// CART hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CartConfig {
     /// Minimum samples per leaf.
     pub min_leaf: usize,
@@ -27,7 +26,7 @@ impl Default for CartConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum CartNode {
     Leaf {
         value: f64,
@@ -41,7 +40,7 @@ enum CartNode {
 }
 
 /// A fitted CART regression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: Vec<CartNode>,
     config: CartConfig,
@@ -292,14 +291,5 @@ mod tests {
         let tree = RegressionTree::fit(&ds, CartConfig::default()).unwrap();
         assert!(tree.n_leaves() > 4, "leaves {}", tree.n_leaves());
         assert!(tree.mean_abs_error(&ds) < 0.1);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let ds = step_dataset(200, 5);
-        let tree = RegressionTree::fit(&ds, CartConfig::default()).unwrap();
-        let json = serde_json::to_string(&tree).unwrap();
-        let back: RegressionTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, tree);
     }
 }

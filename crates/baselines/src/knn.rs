@@ -3,7 +3,6 @@
 use crate::{BaselineError, Regressor, Result};
 use perfcounters::events::{EventId, N_EVENTS};
 use perfcounters::{Dataset, Sample};
-use serde::{Deserialize, Serialize};
 
 /// k-NN regression over per-column standardized Euclidean distance.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// (0.3-scale) contribute comparably — without this, distance would be
 /// dominated by the mix events and the regressor would ignore the miss
 /// events that actually drive CPI.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KnnRegressor {
     k: usize,
     scales: [f64; N_EVENTS],

@@ -6,13 +6,12 @@ use mathkit::qr::least_squares;
 use mathkit::solve::solve_ridge;
 use perfcounters::events::{EventId, N_EVENTS};
 use perfcounters::{Dataset, Sample};
-use serde::{Deserialize, Serialize};
 
 /// A single linear model over all 19 events plus an intercept — the
 /// degenerate "zero splits" model tree. The gap between its accuracy and
 /// a model tree's quantifies how piecewise the workload's true cost
 /// structure is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OlsRegressor {
     intercept: f64,
     coefficients: [f64; N_EVENTS],
@@ -161,18 +160,5 @@ mod tests {
         assert_eq!(preds.len(), 100);
         assert!(ols.mean_abs_error(&ds) < 1e-8);
         assert_eq!(ols.mean_abs_error(&Dataset::new()), 0.0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let ds = linear_dataset(100, 4);
-        let ols = OlsRegressor::fit(&ds).unwrap();
-        let json = serde_json::to_string(&ols).unwrap();
-        let back: OlsRegressor = serde_json::from_str(&json).unwrap();
-        // JSON text may perturb the last ULP of a float.
-        assert!((back.intercept() - ols.intercept()).abs() < 1e-12);
-        for e in EventId::ALL {
-            assert!((back.coefficient(e) - ols.coefficient(e)).abs() < 1e-9);
-        }
     }
 }

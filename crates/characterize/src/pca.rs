@@ -11,10 +11,9 @@ use mathkit::eigen::symmetric_eigen;
 use mathkit::matrix::Matrix;
 use perfcounters::events::{EventId, N_EVENTS};
 use perfcounters::{Dataset, Sample};
-use serde::{Deserialize, Serialize};
 
 /// A fitted PCA model over the 19 Table I event densities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcaModel {
     mean: [f64; N_EVENTS],
     scale: [f64; N_EVENTS],
@@ -158,7 +157,7 @@ impl PcaModel {
 
 /// A PCA-space benchmark subset (the related-work comparator to
 /// [`crate::subset`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PcaSubset {
     /// Names of the selected representative benchmarks.
     pub selected: Vec<String>,

@@ -2,14 +2,13 @@
 
 use modeltree::ModelTree;
 use perfcounters::Dataset;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// The distribution of a sample set over a tree's linear models.
 ///
 /// `shares[k]` is the fraction of samples classified into `LM(k+1)`;
 /// shares sum to 1 for a non-empty sample set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafProfile {
     shares: Vec<f64>,
 }
@@ -88,7 +87,7 @@ impl LeafProfile {
 /// Per-benchmark leaf profiles plus the two aggregate rows of Tables II
 /// and IV: the sample-weighted "Suite" row and the equally-weighted
 /// "Average" row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileTable {
     names: Vec<String>,
     profiles: Vec<LeafProfile>,

@@ -1,13 +1,12 @@
 //! Pairwise benchmark similarity (the paper's Table III).
 
 use crate::profile::ProfileTable;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A symmetric matrix of L1 profile distances between benchmarks, plus
 /// each benchmark's distance to the whole-suite profile (the last row of
 /// Table III).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimilarityMatrix {
     names: Vec<String>,
     /// Row-major `n x n` distances in `[0, 1]`.

@@ -14,10 +14,9 @@ use crate::profile::ProfileTable;
 use mathkit::sampling::permutation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of a subsetting run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubsetResult {
     /// Names of the selected representative benchmarks.
     pub selected: Vec<String>,

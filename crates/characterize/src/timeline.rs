@@ -9,10 +9,9 @@
 
 use modeltree::ModelTree;
 use perfcounters::Sample;
-use serde::{Deserialize, Serialize};
 
 /// A time-ordered sequence of behavior classes (1-based LM indices).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassTimeline {
     classes: Vec<usize>,
     n_classes: usize,

@@ -51,9 +51,11 @@ pub struct M5Config {
     /// Number of threads used for fitting and batch prediction (scoped
     /// threads; no thread pool). Must be at least 1. Training is
     /// **bit-identical** for every value: parallelism only changes wall
-    /// clock, never the fitted tree. Defaults to 1 (serial); absent from
-    /// older serialized configurations, where it also deserializes to 1.
-    #[serde(default = "default_n_threads")]
+    /// clock, never the fitted tree. Defaults to 1 (serial). Not
+    /// serialized: a tree's JSON is the same for every thread count, and
+    /// a deserialized configuration reads 1 (older JSON that still
+    /// carries the field is read the same way).
+    #[serde(skip, default = "default_n_threads")]
     pub n_threads: usize,
 }
 
@@ -262,25 +264,16 @@ mod tests {
 
     #[test]
     fn n_threads_defaults_when_absent_from_json() {
-        // Configurations serialized before n_threads existed must still
-        // deserialize (to the serial default).
-        let c = M5Config::default();
+        // n_threads is an execution hint: it is never serialized, and
+        // every deserialized configuration reads the serial default,
+        // including older JSON that still carries the field.
+        let c = M5Config::default().with_n_threads(8);
         let json = serde_json::to_string(&c).unwrap();
-        assert!(json.contains("n_threads"));
-        let stripped: serde_json::Value = {
-            let v = serde_json::from_str::<serde_json::Value>(&json).unwrap();
-            match v {
-                serde_json::Value::Object(fields) => serde_json::Value::Object(
-                    fields
-                        .into_iter()
-                        .filter(|(k, _)| k != "n_threads")
-                        .collect(),
-                ),
-                other => other,
-            }
-        };
-        let back: M5Config =
-            serde_json::from_str(&serde_json::to_string(&stripped).unwrap()).unwrap();
+        assert!(!json.contains("n_threads"), "{json}");
+        let back: M5Config = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, c.with_n_threads(1));
+        let legacy = json.replace('}', ",\"n_threads\":8}");
+        let back: M5Config = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back.n_threads, 1);
     }
 

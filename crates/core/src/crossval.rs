@@ -13,10 +13,9 @@ use mathkit::sampling::permutation;
 use perfcounters::Dataset;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate results of a k-fold cross-validation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossValidation {
     /// Per-fold mean absolute error.
     pub fold_mae: Vec<f64>,
@@ -31,7 +30,6 @@ pub struct CrossValidation {
     /// actual vector, or a test fold too small to correlate. Recorded
     /// explicitly (and excluded from [`CrossValidation::mean_correlation`])
     /// instead of silently reporting a fake "0.0 correlation".
-    #[serde(default)]
     pub degenerate_folds: Vec<usize>,
 }
 

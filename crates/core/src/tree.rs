@@ -94,7 +94,7 @@ impl Node {
 }
 
 /// Summary of one leaf, in left-to-right order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafInfo {
     /// 1-based linear model number (`LM1`, `LM2`, ...).
     pub lm_index: usize,
@@ -111,7 +111,7 @@ pub struct LeafInfo {
 }
 
 /// One step of a decision-path explanation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplainStep {
     /// The attribute tested at this interior node.
     pub event: EventId,
@@ -125,7 +125,7 @@ pub struct ExplainStep {
 
 /// A full explanation of one prediction: the decision path, the leaf
 /// model applied, and the smoothed/unsmoothed predictions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Explanation {
     /// The tests taken from root to leaf, in order.
     pub path: Vec<ExplainStep>,

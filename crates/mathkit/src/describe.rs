@@ -129,7 +129,6 @@ pub fn median(xs: &[f64]) -> Result<f64> {
 /// assert!((s.variance() - 1.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: usize,
     mean: f64,

@@ -18,7 +18,6 @@ use crate::{MathError, Result};
 /// assert!((n.cdf(0.0) - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Normal {
     mean: f64,
     sd: f64,
@@ -157,7 +156,6 @@ fn standard_normal_quantile(p: f64) -> f64 {
 /// assert!((t.cdf(0.0) - 0.5).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StudentT {
     nu: f64,
 }

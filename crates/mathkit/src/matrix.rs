@@ -19,7 +19,6 @@ use crate::{MathError, Result};
 /// assert_eq!(m[(1, 0)], 3.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -15,10 +15,9 @@ use crate::events::{INTERVAL_INSTRUCTIONS, N_EVENTS, N_PROGRAMMABLE_COUNTERS};
 use crate::sample::Sample;
 use mathkit::sampling::standard_normal;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the simulated counter bank.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CounterConfig {
     /// Instructions per observation interval (sample width). The paper
     /// uses 2 million.
@@ -56,7 +55,7 @@ impl Default for CounterConfig {
 /// // The measured density is near, but generally not equal to, the truth.
 /// assert!((measured.get(EventId::Load) - 0.3).abs() < 0.05);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterBank {
     config: CounterConfig,
 }

@@ -53,7 +53,10 @@ const TREE_MAGIC: &[u8; 4] = b"SPMT";
 /// Layout generation of every container this crate writes (`SPDS`,
 /// `SPMT`, `SPDC`). Format 1 had no marker and hashed with byte-serial
 /// FNV-1a; format 2 added the marker and `integrity_hash`. Bump it
-/// whenever the bytes of a container change for the same content.
+/// whenever the bytes of a container change for the same content,
+/// unless the current decoder reads the old bytes to the same artifact
+/// as the new ones: a tree's `n_threads`, no longer written and ignored
+/// when read, kept format 2 and every stored dataset valid.
 pub const CONTAINER_FORMAT: u32 = 2;
 
 /// Bytes of the header every container opens with: magic, container

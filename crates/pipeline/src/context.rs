@@ -491,6 +491,7 @@ fn collect_parts<T, const N: usize>(parts: impl Iterator<Item = Option<T>>) -> O
 mod tests {
     use super::*;
     use crate::spec::{suite_tree_config, SuiteKind};
+    use std::time::Duration;
 
     fn small_spec() -> DatasetSpec {
         DatasetSpec::new(SuiteKind::cpu2006(), 600, 11)
@@ -623,6 +624,22 @@ mod tests {
                 .get(&key.0)
                 .map_or(0, Arc::strong_count)
         };
+        // A resolver that stops sharing entries never reaches `n`
+        // holders: the deadline turns that hang into a failure.
+        let await_holders = |n: usize| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let held = holders();
+                if held >= n {
+                    return;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "the memo entry still has {held} holders after 10 s, expected {n}"
+                );
+                std::thread::yield_now();
+            }
+        };
         std::thread::scope(|scope| {
             let owner = scope.spawn(|| {
                 ctx.resolve(
@@ -631,16 +648,12 @@ mod tests {
                     &GENERATE,
                     || Ok(()),
                     |()| {
-                        while holders() < 3 {
-                            std::thread::yield_now();
-                        }
+                        await_holders(3);
                         Ok([owner()?])
                     },
                 )
             });
-            while holders() < 2 {
-                std::thread::yield_now();
-            }
+            await_holders(2);
             let waiter = scope
                 .spawn(|| ctx.resolve([key], "waiter", &GENERATE, || Ok(()), |()| Ok([waiter()?])));
             (owner.join(), waiter.join())

@@ -9,10 +9,9 @@ use crate::{Result, StatsError};
 use mathkit::describe::correlation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A percentile-bootstrap confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BootstrapCi {
     /// The statistic on the full sample.
     pub point: f64,

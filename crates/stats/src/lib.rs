@@ -10,9 +10,9 @@
 //!   predicted-vs-actual comparisons (`H0: P_pred = P2`). A
 //!   [`SampleMoments`] summary lets one sample enter many comparisons
 //!   without re-reading it.
-//! * [`nonparametric`] — the Mann-Whitney U test and Levene's test, the
-//!   non-parametric alternatives the paper names. Mann-Whitney also
-//!   takes presorted samples, ranking a pair by one linear merge.
+//! * [`nonparametric`] — the Mann-Whitney U test, the non-parametric
+//!   cross-check the paper names. It also takes presorted samples,
+//!   ranking a pair by one linear merge.
 //! * [`metrics`] — prediction-accuracy metrics: the correlation
 //!   coefficient `C` (Equation 12) and the mean absolute error
 //!   (Equation 13), plus RMSE and relative errors, with the paper's

@@ -2,13 +2,12 @@
 
 use crate::{Result, StatsError};
 use mathkit::describe::{correlation, mean};
-use serde::{Deserialize, Serialize};
 
 /// Acceptance thresholds for declaring a model transferable on accuracy
 /// grounds. The paper "consider\[s\] for illustration that a correlation
 /// coefficient of more than 0.85 and a mean absolute error of no more
 /// than 0.15 \[are\] acceptable".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcceptanceThresholds {
     /// Minimum acceptable correlation coefficient `C`.
     pub min_correlation: f64,
@@ -26,7 +25,7 @@ impl Default for AcceptanceThresholds {
 }
 
 /// Accuracy of a set of predictions against actual values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictionMetrics {
     /// Correlation coefficient `C` (Equation 12), in `[-1, 1]`.
     pub correlation: f64,

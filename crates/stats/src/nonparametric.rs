@@ -1,22 +1,18 @@
 //! Non-parametric two-sample tests.
 //!
 //! The paper names "non-parametric tests such as Leven's \[sic\] and
-//! Mann-Whitney tests" as the alternatives to the two-sample t-test;
-//! both are provided here. Mann-Whitney uses the large-sample normal
-//! approximation with tie correction (sample sizes in this domain are in
-//! the tens of thousands); Levene's test uses the Brown–Forsythe
-//! (median-centered) variant by default, which is robust for the skewed
-//! CPI distributions counters produce.
+//! Mann-Whitney tests" as the alternatives to the two-sample t-test.
+//! The transferability assessment uses Mann-Whitney, provided here with
+//! the large-sample normal approximation and tie correction (sample
+//! sizes in this domain are in the tens of thousands).
 
 use crate::{Result, StatsError};
-use mathkit::describe::{mean, median};
 use mathkit::dist::Normal;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of a non-parametric test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonParametricResult {
-    /// The test statistic (z for Mann-Whitney, W for Levene).
+    /// The test statistic (z for Mann-Whitney).
     pub statistic: f64,
     /// Two-sided p-value (approximate).
     pub p_value: f64,
@@ -147,68 +143,6 @@ pub fn mann_whitney_u_sorted(a: &[f64], b: &[f64]) -> Result<NonParametricResult
     let p = 2.0 * Normal::standard().sf(z.abs());
     Ok(NonParametricResult {
         statistic: z,
-        p_value: p.min(1.0),
-    })
-}
-
-/// Centering choice for Levene's test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LeveneCenter {
-    /// Classic Levene: deviations from the group mean.
-    Mean,
-    /// Brown–Forsythe: deviations from the group median (robust).
-    Median,
-}
-
-/// Levene's test for equality of variances across two samples:
-/// `H0` = equal variances. Returns the F-like W statistic with a normal
-/// approximation to its p-value via the large-sample chi-square/1
-/// equivalence (adequate at the sample sizes this workspace uses).
-///
-/// # Errors
-///
-/// Returns [`StatsError::InsufficientData`] if either sample has fewer
-/// than 3 elements.
-pub fn levene_test(a: &[f64], b: &[f64], center: LeveneCenter) -> Result<NonParametricResult> {
-    if a.len() < 3 || b.len() < 3 {
-        return Err(StatsError::InsufficientData(format!(
-            "need >= 3 samples on each side, got {} and {}",
-            a.len(),
-            b.len()
-        )));
-    }
-    let center_of = |xs: &[f64]| -> f64 {
-        match center {
-            LeveneCenter::Mean => mean(xs).expect("non-empty"),
-            LeveneCenter::Median => median(xs).expect("non-empty"),
-        }
-    };
-    let ca = center_of(a);
-    let cb = center_of(b);
-    let za: Vec<f64> = a.iter().map(|x| (x - ca).abs()).collect();
-    let zb: Vec<f64> = b.iter().map(|x| (x - cb).abs()).collect();
-
-    let ma = mean(&za).expect("non-empty");
-    let mb = mean(&zb).expect("non-empty");
-    let na = za.len() as f64;
-    let nb = zb.len() as f64;
-    let grand = (na * ma + nb * mb) / (na + nb);
-
-    let between = na * (ma - grand) * (ma - grand) + nb * (mb - grand) * (mb - grand);
-    let within: f64 = za.iter().map(|z| (z - ma) * (z - ma)).sum::<f64>()
-        + zb.iter().map(|z| (z - mb) * (z - mb)).sum::<f64>();
-    if within == 0.0 {
-        return Ok(NonParametricResult {
-            statistic: if between == 0.0 { 0.0 } else { f64::INFINITY },
-            p_value: if between == 0.0 { 1.0 } else { 0.0 },
-        });
-    }
-    let dof2 = na + nb - 2.0;
-    let w = dof2 * between / within; // F(1, dof2)
-                                     // F(1, large dof2) ~ chi2(1) = z^2: two-sided normal p on sqrt(W).
-    let p = 2.0 * Normal::standard().sf(w.max(0.0).sqrt());
-    Ok(NonParametricResult {
-        statistic: w,
         p_value: p.min(1.0),
     })
 }
@@ -431,38 +365,5 @@ mod tests {
                 oracle
             );
         }
-    }
-
-    #[test]
-    fn levene_accepts_equal_variances() {
-        let a = normal_sample(2000, 0.0, 1.0, 5);
-        let b = normal_sample(2000, 5.0, 1.0, 6); // different mean, same sd
-        for center in [LeveneCenter::Mean, LeveneCenter::Median] {
-            let r = levene_test(&a, &b, center).unwrap();
-            assert!(!r.significant_at(0.01), "{center:?}: p = {}", r.p_value);
-        }
-    }
-
-    #[test]
-    fn levene_rejects_unequal_variances() {
-        let a = normal_sample(2000, 0.0, 1.0, 7);
-        let b = normal_sample(2000, 0.0, 3.0, 8);
-        for center in [LeveneCenter::Mean, LeveneCenter::Median] {
-            let r = levene_test(&a, &b, center).unwrap();
-            assert!(r.significant_at(1e-6), "{center:?}: p = {}", r.p_value);
-        }
-    }
-
-    #[test]
-    fn levene_constant_samples() {
-        let a = vec![1.0; 10];
-        let b = vec![1.0; 10];
-        let r = levene_test(&a, &b, LeveneCenter::Mean).unwrap();
-        assert_eq!(r.p_value, 1.0);
-    }
-
-    #[test]
-    fn levene_input_validation() {
-        assert!(levene_test(&[1.0, 2.0], &[1.0, 2.0, 3.0], LeveneCenter::Mean).is_err());
     }
 }

@@ -9,10 +9,9 @@
 use crate::{Result, StatsError};
 use mathkit::describe::{mean, variance};
 use mathkit::dist::StudentT;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of a t-test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TTestResult {
     /// The t statistic.
     pub statistic: f64,
@@ -547,15 +546,5 @@ mod tests {
         assert_eq!(cohens_d(&[1.0, 2.0], &[]).unwrap_err().to_string(), {
             "insufficient data: need >= 2 samples on each side, got 2 and 0"
         });
-    }
-
-    #[test]
-    fn result_serde_roundtrip() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [2.0, 3.0, 4.0];
-        let r = two_sample_t_test(&a, &b).unwrap();
-        let json = serde_json::to_string(&r).unwrap();
-        let back: TTestResult = serde_json::from_str(&json).unwrap();
-        assert!((back.statistic - r.statistic).abs() < 1e-12);
     }
 }

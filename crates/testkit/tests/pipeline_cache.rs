@@ -11,8 +11,8 @@
 use modeltree::ModelTree;
 use perfcounters::{Dataset, EventId};
 use pipeline::{
-    suite_tree_config, ArtifactStore, DatasetSpec, PipelineContext, StageCounters, SuiteKind,
-    TransferSplitSpec, TreeSpec,
+    codec, suite_tree_config, ArtifactStore, DatasetSpec, PipelineContext, StageCounters,
+    SuiteKind, TransferSplitSpec, TreeSpec,
 };
 use std::sync::{Arc, Barrier};
 use testkit::corner_lattice;
@@ -99,6 +99,32 @@ fn warm_trees_are_bit_identical_across_the_corner_lattice() {
     // Corners differing only in smoothing-independent execution hints
     // (n_threads) share artifacts, so strictly fewer loads than corners.
     assert!(c.trees_loaded > 0);
+    store.clear().unwrap();
+}
+
+/// `n_threads` is outside every key, so it must stay out of the stored
+/// bytes too: otherwise the bytes a store holds (and `fit --out` writes,
+/// and serve hashes into its model version) depend on which run filled
+/// the store first.
+#[test]
+fn tree_bytes_do_not_depend_on_the_thread_count_that_filled_the_store() {
+    let store = temp_store("thread-hint");
+    let spec = DatasetSpec::new(SuiteKind::cpu2006(), 900, 31);
+    let config = suite_tree_config(900);
+    let eight = TreeSpec::new(spec.clone(), config.with_n_threads(8));
+    PipelineContext::with_store(store.clone())
+        .tree(&eight)
+        .expect("fits");
+    let warm = PipelineContext::with_store(store.clone());
+    let loaded = warm.tree(&eight).expect("loads");
+    assert_eq!(warm.counters().trees_fitted, 0, "the tree was not loaded");
+    let serial = PipelineContext::ephemeral()
+        .tree(&TreeSpec::new(spec, config.with_n_threads(1)))
+        .expect("fits");
+    assert!(
+        codec::encode_tree(&loaded) == codec::encode_tree(&serial),
+        "stored tree bytes carry the thread count of the fit that stored them"
+    );
     store.clear().unwrap();
 }
 

@@ -53,7 +53,6 @@ pub use matrix::{MatrixCell, MatrixSpec, MemberRow, SuiteArtifacts, TransferMatr
 use modeltree::{CompiledTree, ModelTree};
 use perfcounters::events::N_EVENTS;
 use perfcounters::{Dataset, EventId};
-use serde::{Deserialize, Serialize};
 use spec_stats::metrics::{AcceptanceThresholds, PredictionMetrics};
 use spec_stats::nonparametric::{mann_whitney_u_sorted, sorted_copy, NonParametricResult};
 use spec_stats::ttest::{
@@ -64,7 +63,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Configuration of a transferability assessment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferConfig {
     /// Significance level for the hypothesis tests (two-sided).
     pub alpha: f64,
@@ -262,14 +261,13 @@ fn check_event_schema(
 }
 
 /// The hypothesis-testing half of an assessment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HypothesisReport {
     /// `H0: P1 = P2` on the dependent variable (train CPI vs test CPI).
     pub cpi_datasets: TTestResult,
     /// Cohen's d effect size of the CPI difference — the scale-free
     /// complement to the t statistic (at the paper's sample counts even
     /// negligible differences are "significant").
-    #[serde(default)]
     pub cpi_effect_size: f64,
     /// `H0: P_pred = P2` (predicted CPI vs actual CPI on the test set).
     pub cpi_predicted: TTestResult,
@@ -281,7 +279,7 @@ pub struct HypothesisReport {
 
 /// A complete transferability assessment of one (train suite, test
 /// suite) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferabilityReport {
     /// Label of the training dataset (e.g. `"SPEC CPU2006 (10%)"`).
     pub train_name: String,
@@ -732,24 +730,5 @@ mod tests {
         let report =
             TransferabilityReport::assess(&tree, &train, &test, "a", "b", &config).unwrap();
         assert_eq!(report.hypothesis.event_tests.len(), 1);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let (train, test) = cpu_split(6, 4_000);
-        let tree = ModelTree::fit(&train, &M5Config::default()).unwrap();
-        let report = TransferabilityReport::assess(
-            &tree,
-            &train,
-            &test,
-            "a",
-            "b",
-            &TransferConfig::default(),
-        )
-        .unwrap();
-        let json = serde_json::to_string(&report).unwrap();
-        let back: TransferabilityReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.train_name, report.train_name);
-        assert_eq!(back.transferable(), report.transferable());
     }
 }

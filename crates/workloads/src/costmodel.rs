@@ -19,10 +19,9 @@
 
 use perfcounters::events::{EventId, N_EVENTS};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Execution environment of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Environment {
     /// One thread per core, no cross-thread interference (SPEC CPU2006).
     SingleThreaded,
@@ -36,7 +35,7 @@ pub enum Environment {
 ///
 /// Regime names reference the paper's linear-model numbers: `CpuLm1` is
 /// the regime whose cost vector equals the paper's Equation 1, etc.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Regime {
     /// Low DTLB pressure; Equation 1 costs (the bulk of CPU2006).
@@ -153,7 +152,7 @@ pub mod thresholds {
 }
 
 /// The ground-truth cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Multiplicative lognormal CPI noise (sigma of the underlying
     /// normal). Default 0.04.
@@ -164,12 +163,7 @@ pub struct CostModel {
     /// below 1.0 lighter pressure. Scales only the *store-coupled* cost
     /// terms of the multi-threaded regimes, so single-threaded behavior
     /// is unaffected. Used by the platform-drift ablation.
-    #[serde(default = "default_contention")]
     pub contention: f64,
-}
-
-fn default_contention() -> f64 {
-    1.0
 }
 
 impl Default for CostModel {

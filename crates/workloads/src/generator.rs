@@ -18,7 +18,6 @@ use perfcounters::events::{EventId, N_EVENTS};
 use perfcounters::{BlockMut, Dataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Version of the generator's output: the samples a seed produces.
 /// Bump it with any change that alters them (sampler, stream layout or
@@ -33,7 +32,7 @@ pub const GENERATOR_VERSION: u32 = 2;
 
 /// Configuration of dataset generation: the counter architecture plus
 /// the cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GeneratorConfig {
     /// Simulated PMU configuration (multiplexing noise etc.).
     pub counters: CounterConfig,
@@ -43,7 +42,7 @@ pub struct GeneratorConfig {
 
 /// A benchmark suite: a named set of [`BenchmarkModel`]s sharing one
 /// execution [`Environment`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Suite {
     name: String,
     environment: Environment,

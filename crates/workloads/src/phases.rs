@@ -10,12 +10,11 @@
 use mathkit::sampling::{truncated_normal, weighted_index};
 use perfcounters::events::{EventId, N_EVENTS};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Distribution of one event's per-instruction density within a phase:
 /// a truncated normal with the given mean and coefficient of variation,
 /// clamped to `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DensitySpec {
     /// Mean per-instruction density.
     pub mean: f64,
@@ -56,7 +55,7 @@ impl DensitySpec {
 /// assert_eq!(phase.weight(), 0.4);
 /// ```
 /// How one event's density is drawn within a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventSpec {
     /// Independent truncated normal.
     Independent(DensitySpec),
@@ -75,7 +74,7 @@ pub enum EventSpec {
     },
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     name: String,
     weight: f64,
@@ -230,7 +229,7 @@ impl Phase {
 /// A benchmark: a name, an instruction-count weight (its share of the
 /// suite's total instructions, hence of the suite's samples), and its
 /// phase mixture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkModel {
     name: String,
     weight: f64,

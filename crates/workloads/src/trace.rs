@@ -17,10 +17,9 @@ use perfcounters::counters::CounterBank;
 use perfcounters::events::N_EVENTS;
 use perfcounters::{Dataset, Sample};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Markov phase process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Expected number of consecutive intervals spent in a phase before
     /// re-drawing (geometric run lengths). The paper's workloads dwell in
@@ -39,7 +38,7 @@ impl Default for TraceConfig {
 
 /// A time-ordered trace of measured intervals from one benchmark, with
 /// ground-truth phase labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     benchmark: String,
     samples: Vec<Sample>,
